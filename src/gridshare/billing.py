@@ -30,14 +30,16 @@ class TariffParams:
 
     def validate(self, horizon: int) -> list:
         problems = []
-        if not self.p0 > 0.0:
-            problems.append("tariff.p0: must be > 0, got %g" % self.p0)
+        if not 0.0 < self.p0 < math.inf:
+            problems.append("tariff.p0: must be finite and > 0, got %g" % self.p0)
         if len(self.generation) != horizon:
             problems.append(
                 "tariff.generation: expected %d entries, got %d"
                 % (horizon, len(self.generation))
             )
-        if np.any(self.generation < 0):
+        if not np.all(np.isfinite(self.generation)):
+            problems.append("tariff.generation: entries must be finite")
+        elif np.any(self.generation < 0):
             problems.append("tariff.generation: entries must be >= 0")
         return problems
 
@@ -63,6 +65,26 @@ def daily_bill(loads_m, loads_others, tariff: TariffParams) -> float:
         for t in range(len(loads_m))
     ]
     return math.fsum(terms)
+
+
+def community_bills(loads, tariff: TariffParams) -> list:
+    """Every household's daily bill for a (M, T) load matrix.
+
+    The shared unit price is computed once per interval from the
+    fsum-aggregated load; each bill is then fsum_t(l_mt * price_t).  This
+    equals daily_bill(l_m, fsum of the others) up to one rounding of the
+    aggregate, and exactly for M <= 2.
+    """
+    loads = np.asarray(loads, dtype=float)
+    if loads.shape[1] != len(tariff.generation):
+        raise LengthMismatchError(
+            "series lengths differ: loads=%d generation=%d"
+            % (loads.shape[1], len(tariff.generation))
+        )
+    aggregated = np.array([math.fsum(column) for column in loads.T.tolist()])
+    gap = aggregated - tariff.generation
+    price = gap * gap + tariff.p0
+    return [math.fsum(terms) for terms in (loads * price).tolist()]
 
 
 def daily_bill_decomposed(loads_m, loads_others, tariff: TariffParams) -> float:

@@ -10,16 +10,24 @@ or certification failed), 1 input error.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import sys
 
 import click
 import numpy as np
 
-from .decisions import Schedule
+from .decisions import Schedule, audit_community
 from .engine import GameConfig, deviation_gain
 from .errors import GridShareError, ScenarioValidationError
 from .report import emit, run
-from .scenario import SynthShape, load_scenario, save_scenario, synth_scenario
+from .scenario import (
+    SynthShape,
+    load_scenario,
+    number_series,
+    save_scenario,
+    synth_scenario,
+)
 
 
 @click.group()
@@ -88,18 +96,30 @@ def check(scenario_path):
     )
 
 
+#: GameConfig fields exposed as ``solve`` flags; the rest keep their defaults
+_FLAG_FIELDS = (
+    "epsilon",
+    "max_sweeps",
+    "soc_grid",
+    "action_grid",
+    "seed",
+    "cold_start",
+    "terminal_soc_min",
+)
+
+
 def _config_options(fn):
-    options = [
-        click.option("--epsilon", default=1e-6, show_default=True),
-        click.option("--max-sweeps", default=100, show_default=True),
-        click.option("--soc-grid", default=64, show_default=True),
-        click.option("--action-grid", default=9, show_default=True),
-        click.option("--seed", default=0, show_default=True),
-        click.option("--cold-start", is_flag=True, default=False),
-        click.option("--terminal-soc-min", default=None, type=float),
-    ]
-    for opt in reversed(options):
-        fn = opt(fn)
+    """Add one ``solve`` flag per exposed GameConfig field, same default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(GameConfig)}
+    for name in reversed(_FLAG_FIELDS):
+        flag = "--" + name.replace("_", "-")
+        default = defaults[name]
+        if default is None:
+            fn = click.option(flag, default=None, type=float)(fn)
+        elif isinstance(default, bool):
+            fn = click.option(flag, is_flag=True, default=default)(fn)
+        else:
+            fn = click.option(flag, default=default, show_default=True)(fn)
     return fn
 
 
@@ -108,20 +128,11 @@ def _config_options(fn):
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.option("--baseline-only", is_flag=True, default=False)
 @_config_options
-def solve(scenario_path, out, baseline_only, epsilon, max_sweeps, soc_grid, action_grid, seed, cold_start, terminal_soc_min):
+def solve(scenario_path, out, baseline_only, **knobs):
     """Solve baseline and game, emit result.json / traces.csv / summary.txt."""
     scenario = _load(scenario_path)
-    config = GameConfig(
-        epsilon=epsilon,
-        max_sweeps=max_sweeps,
-        soc_grid=soc_grid,
-        action_grid=action_grid,
-        seed=seed,
-        cold_start=cold_start,
-        terminal_soc_min=terminal_soc_min,
-    )
     try:
-        report = run(scenario, config, baseline_only=baseline_only)
+        report = run(scenario, GameConfig(**knobs), baseline_only=baseline_only)
     except GridShareError as exc:
         click.echo("error: %s" % exc, err=True)
         sys.exit(1)
@@ -131,14 +142,71 @@ def solve(scenario_path, out, baseline_only, epsilon, max_sweeps, soc_grid, acti
         sys.exit(2)
 
 
+def _json_type_ok(value, default) -> bool:
+    """Whether a JSON value has the type of a GameConfig field's default."""
+    if value is None:
+        return default is None
+    if isinstance(default, int):  # bool or int; a bool is not an int here
+        return type(value) is type(default)
+    return type(value) in (int, float)
+
+
+def _config_from_doc(cfg) -> GameConfig:
+    defaults = {f.name: f.default for f in dataclasses.fields(GameConfig)}
+    if not isinstance(cfg, dict):
+        raise GridShareError("config must be a mapping")
+    for name, value in cfg.items():
+        if name not in defaults:
+            raise GridShareError("unknown config key %r" % name)
+        if not _json_type_ok(value, defaults[name]):
+            raise GridShareError("config.%s: wrong type, got %r" % (name, value))
+    return GameConfig(**cfg)
+
+
+def _read_result(doc, scenario):
+    """(config, schedules) of a result document for ``scenario``.
+
+    Raises GridShareError naming the first malformed part.
+    """
+    if not isinstance(doc, dict) or not isinstance(doc.get("game"), dict):
+        raise GridShareError("no game section")
+    if doc.get("scenario_digest") != scenario.digest():
+        raise GridShareError("scenario digest mismatch with result document")
+    config = _config_from_doc(doc.get("config"))
+    households = doc["game"].get("households")
+    schedules = []
+    for h in scenario.households:
+        entry = households.get(h.id) if isinstance(households, dict) else None
+        if not isinstance(entry, dict):
+            raise GridShareError("game.households.%s is missing" % h.id)
+        series = [number_series(entry.get(key)) for key in ("a", "e")]
+        if not all(
+            s is not None and len(s) == scenario.horizon and np.all(np.isfinite(s))
+            for s in series
+        ):
+            raise GridShareError(
+                "game.households.%s: a and e need %d finite numbers each"
+                % (h.id, scenario.horizon)
+            )
+        schedules.append(Schedule(*series))
+    # a schedule outside its feasible region can show a bill no feasible
+    # deviation beats, so replay it before measuring any gain
+    audit_community(
+        scenario.households,
+        schedules,
+        scenario.eta_inv,
+        scenario.eta_bar,
+        scenario.dt,
+    )
+    return config, schedules
+
+
 @main.command()
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
 @click.option("--result", "result_path", required=True, type=click.Path())
 @click.option("--epsilon", default=None, type=float, help="override the run's epsilon")
 def certify(scenario_path, result_path, epsilon):
     """Re-verify an emitted result with the finer deviation-gain oracle."""
-    import json
-
     scenario = _load(scenario_path)
     try:
         with open(result_path) as fh:
@@ -146,20 +214,12 @@ def certify(scenario_path, result_path, epsilon):
     except (OSError, json.JSONDecodeError) as exc:
         click.echo("error: cannot read result document: %s" % exc, err=True)
         sys.exit(1)
-    game = doc.get("game")
-    if not game:
-        click.echo("error: result document has no game section", err=True)
+    try:
+        config, schedules = _read_result(doc, scenario)
+    except GridShareError as exc:
+        click.echo("error: invalid result document: %s" % exc, err=True)
         sys.exit(1)
-    if doc.get("scenario_digest") != scenario.digest():
-        click.echo("error: scenario digest mismatch with result document", err=True)
-        sys.exit(1)
-    cfg = doc["config"]
-    config = GameConfig(**{k: cfg[k] for k in cfg})
     eps = epsilon if epsilon is not None else config.epsilon
-    schedules = []
-    for h in scenario.households:
-        entry = game["households"][h.id]
-        schedules.append(Schedule(np.array(entry["a"]), np.array(entry["e"])))
     ok = True
     for m, h in enumerate(scenario.households):
         gain = deviation_gain(scenario, schedules, m, config)

@@ -68,20 +68,16 @@ class HouseholdProfile:
         """Return a list of human-readable invariant violations (maybe empty)."""
         problems = []
         prefix = "households[%s]" % self.id
-        if len(self.demand) != horizon:
-            problems.append(
-                "%s.demand: expected %d entries, got %d"
-                % (prefix, horizon, len(self.demand))
-            )
-        if len(self.re_output) != horizon:
-            problems.append(
-                "%s.re_output: expected %d entries, got %d"
-                % (prefix, horizon, len(self.re_output))
-            )
-        if np.any(self.demand < 0):
-            problems.append("%s.demand: entries must be >= 0" % prefix)
-        if np.any(self.re_output < 0):
-            problems.append("%s.re_output: entries must be >= 0" % prefix)
+        for name, series in (("demand", self.demand), ("re_output", self.re_output)):
+            if len(series) != horizon:
+                problems.append(
+                    "%s.%s: expected %d entries, got %d"
+                    % (prefix, name, horizon, len(series))
+                )
+            if not np.all(np.isfinite(series)):
+                problems.append("%s.%s: entries must be finite" % (prefix, name))
+            elif np.any(series < 0):
+                problems.append("%s.%s: entries must be >= 0" % (prefix, name))
         if not (
             self.battery.s_min <= self.initial_soc <= self.battery.s_max
         ):

@@ -197,18 +197,46 @@ def _phi_plus_vec(env: _Env, s: np.ndarray) -> np.ndarray:
     return np.where(s < env.s_tr, env.bat.rho_plus * env.dt, cv)
 
 
-def _taker_candidates(env, t, s, n_act, extra_a=None, extra_e=None):
-    """Candidate (a, e) pairs for every state in ``s`` at a taker interval."""
-    d = float(env.d[t])
-    pool = float(env.pool_avail[t])
-    phi_p = _phi_plus_vec(env, s)
+# Feasible-region bounds, shared by the candidate enumeration and the
+# random start.  ``s`` and ``phi_p`` (= _phi_plus_vec(env, s)) may be scalars
+# or arrays; ``d`` is the interval's net demand.
+
+
+def _taker_action_range(env, s, d, phi_p):
+    """Battery action range [a_lo, a_hi] of a taker; it always holds 0."""
     a_lo = np.maximum(
         np.maximum(env.phim, -(s - env.s_min) * env.c_discharge), -d
     )
-    a_lo = np.minimum(a_lo, 0.0)
-    a_hi = np.maximum(
-        np.minimum(phi_p, (env.s_max - s) / env.c_charge), 0.0
+    a_hi = np.maximum(np.minimum(phi_p, (env.s_max - s) / env.c_charge), 0.0)
+    return np.minimum(a_lo, 0.0), a_hi
+
+
+def _taker_draw_floor(d, a, pool):
+    """Lowest pool draw e_lo(a, pool) <= 0 for a taker taking action ``a``."""
+    return np.minimum(0.0, np.maximum(-d - a, -pool))
+
+
+def _giver_offer_range(env, s, d, phi_p, min_offer):
+    """Offer range [e_lo, -d] of a giver that must keep up ``min_offer``."""
+    e_lo = np.maximum(0.0, -d - phi_p)
+    e_lo = np.maximum(e_lo, -d - (env.s_max - s) / env.bat.eta_plus)
+    e_lo = np.maximum(e_lo, min_offer)
+    return np.minimum(e_lo, -d), -d
+
+
+def _giver_charge_cap(env, s, d, phi_p, e):
+    """Largest grid charge a_cap(e) left beside the local charge of offer ``e``."""
+    local = np.maximum(0.0, -d - e)
+    a_cap = np.minimum(
+        phi_p - local, (env.s_max - s - env.bat.eta_plus * local) / env.c_charge
     )
+    return np.maximum(a_cap, 0.0)
+
+
+def _taker_candidates(env, t, s, n_act, extra_a=None, extra_e=None):
+    """Candidate (a, e) pairs for every state in ``s`` at a taker interval."""
+    d = float(env.d[t])
+    a_lo, a_hi = _taker_action_range(env, s, d, _phi_plus_vec(env, s))
     fr = np.linspace(0.0, 1.0, n_act)
     cols = [a_lo[:, None] + fr[None, :] * (a_hi - a_lo)[:, None]]
     cols.append(np.zeros((len(s), 1)))
@@ -217,7 +245,7 @@ def _taker_candidates(env, t, s, n_act, extra_a=None, extra_e=None):
             np.clip(np.asarray(extra_a)[None, :], a_lo[:, None], a_hi[:, None])
         )
     a = np.concatenate(cols, axis=1)  # (n, NA)
-    e_lo = np.minimum(0.0, np.maximum(-d - a, -pool))  # (n, NA)
+    e_lo = _taker_draw_floor(d, a, float(env.pool_avail[t]))  # (n, NA)
     fe = np.linspace(0.0, 1.0, n_act)
     e_parts = [e_lo[:, :, None] * (1.0 - fe[None, None, :])]
     if extra_e is not None and len(extra_e):
@@ -234,16 +262,7 @@ def _giver_candidates(env, t, s, n_act, extra_a=None, extra_e=None):
     """Candidate (a, e) pairs for every state in ``s`` at a giver interval."""
     d = float(env.d[t])
     phi_p = _phi_plus_vec(env, s)
-    e_hi = -d
-    e_lo = np.maximum.reduce(
-        [
-            np.zeros_like(s),
-            -d - phi_p,
-            -d - (env.s_max - s) / env.bat.eta_plus,
-            np.full_like(s, float(env.min_offer[t])),
-        ]
-    )
-    e_lo = np.minimum(e_lo, e_hi)
+    e_lo, e_hi = _giver_offer_range(env, s, d, phi_p, float(env.min_offer[t]))
     fe = np.linspace(0.0, 1.0, n_act)
     e_parts = [e_lo[:, None] + fe[None, :] * (e_hi - e_lo)[:, None]]
     if extra_e is not None and len(extra_e):
@@ -251,12 +270,7 @@ def _giver_candidates(env, t, s, n_act, extra_a=None, extra_e=None):
             np.clip(np.asarray(extra_e)[None, :], e_lo[:, None], e_hi)
         )
     e = np.concatenate(e_parts, axis=1)  # (n, NE)
-    local = np.maximum(0.0, -d - e)
-    a_cap = np.minimum(
-        phi_p[:, None] - local,
-        ((env.s_max - s)[:, None] - env.bat.eta_plus * local) / env.c_charge,
-    )
-    a_cap = np.maximum(a_cap, 0.0)
+    a_cap = _giver_charge_cap(env, s[:, None], d, phi_p[:, None], e)
     fa = np.linspace(0.0, 1.0, n_act)
     a_parts = [a_cap[:, :, None] * fa[None, None, :]]
     if extra_a is not None and len(extra_a):
@@ -276,21 +290,23 @@ def _candidates(env, t, s, n_act, extra_a=None, extra_e=None):
 
 
 def _transition(env, t, s, a, e):
-    """Next SOC for candidate arrays; mirrors the scalar battery updates."""
-    s2 = s[:, None]
+    """Next SOC from ``s`` under (a, e); mirrors the scalar battery updates.
+
+    Works on scalars and on arrays that broadcast against each other.
+    """
     if env.taker[t]:
         nxt = np.where(
             a > 0.0,
-            s2 + env.c_charge * a,
-            np.where(a < 0.0, s2 + a / env.c_discharge, s2 * env.sdf),
+            s + env.c_charge * a,
+            np.where(a < 0.0, s + a / env.c_discharge, s * env.sdf),
         )
     else:
         local = np.maximum(0.0, -float(env.d[t]) - e)
         total = a + local
         nxt = np.where(
             total == 0.0,
-            s2 * env.sdf,
-            s2 + env.c_charge * a + env.bat.eta_plus * local,
+            s * env.sdf,
+            s + env.c_charge * a + env.bat.eta_plus * local,
         )
     return np.clip(nxt, env.s_min, env.s_max)
 
@@ -319,10 +335,7 @@ def _soc_trajectory(env: _Env, a: np.ndarray, e: np.ndarray) -> np.ndarray:
     s = env.s0
     soc[0] = s
     for t in range(env.horizon):
-        nxt = _transition(
-            env, t, np.array([s]), np.array([[a[t]]]), np.array([[e[t]]])
-        )
-        s = float(nxt[0, 0])
+        s = float(_transition(env, t, s, a[t], e[t]))
         soc[t + 1] = s
     return soc
 
@@ -350,7 +363,7 @@ def _terminal_values(env: _Env, grid: np.ndarray) -> np.ndarray:
 def _stage_totals(env, t, s, v_next, grid_next, n_act, extra_a, extra_e):
     a, e = _candidates(env, t, s, n_act, extra_a, extra_e)
     cost = _stage_cost(env, t, _loads_of(env, t, a, e))
-    nxt = _transition(env, t, s, a, e)
+    nxt = _transition(env, t, s[:, None], a, e)
     total = cost + v_next[_nearest_idx(grid_next, nxt)]
     return a, e, nxt, total
 
@@ -430,13 +443,11 @@ def _local_grids(env: _Env, soc_traj: np.ndarray, n: int, sigma: float):
 # exhaustive enumeration for tiny instances
 
 
-def _exact_tree_size(env: _Env, n_act: int) -> float:
+def _exact_tree_size(taker: np.ndarray, n_act: int) -> float:
+    """Log of the leaf count of a household's exhaustive candidate tree."""
     log_size = 0.0
-    for t in range(env.horizon):
-        if env.taker[t]:
-            k = (n_act + 1) * n_act
-        else:
-            k = n_act * n_act
+    for is_taker in taker:
+        k = (n_act + 1) * n_act if is_taker else n_act * n_act
         log_size += math.log(k)
     return log_size
 
@@ -446,7 +457,7 @@ def _exact_best(env: _Env, n_act: int, cap: int):
 
     Returns (a, e, bill) or None when the tree exceeds ``cap`` leaves.
     """
-    if _exact_tree_size(env, n_act) > math.log(cap):
+    if _exact_tree_size(env.taker, n_act) > math.log(cap):
         return None
     horizon = env.horizon
 
@@ -459,9 +470,9 @@ def _exact_best(env: _Env, n_act: int, cap: int):
                 return math.inf, [], []
             return 0.0, [], []
         a, e = _candidates(env, t, np.array([s]), n_act)
+        a, e = a[0], e[0]
         cost = _stage_cost(env, t, _loads_of(env, t, a, e))
-        nxt = _transition(env, t, s=np.array([s]), a=a, e=e)
-        a, e, cost, nxt = a[0], e[0], cost[0], nxt[0]
+        nxt = _transition(env, t, s, a, e)
         best = (math.inf, [], [])
         for k in range(len(a)):
             sub_cost, sub_a, sub_e = rec(t + 1, float(nxt[k]))
@@ -545,6 +556,23 @@ def best_response(
     return Schedule(a, e)
 
 
+def _fine_config(config: GameConfig) -> GameConfig:
+    return replace(
+        config,
+        soc_grid=config.soc_grid * 2,
+        action_grid=config.action_grid * 2,
+        exact_cap=config.exact_cap * 4,
+    )
+
+
+def _deviation(problem, A, E, m, config):
+    """Household ``m``'s best deviation on the 2x finer grids: (a, e, gain)."""
+    env = _build_env(problem, A, E, m, config.terminal_soc_min)
+    current = _bill_of(env, A[m], E[m])
+    a, e, best = _best_response_env(env, A[m], E[m], _fine_config(config))
+    return a, e, max(0.0, current - best)
+
+
 def deviation_gain(
     scenario: Scenario,
     schedules: list,
@@ -555,19 +583,10 @@ def deviation_gain(
 
     Non-negative by construction: the current schedule seeds the search.
     """
-    fine = replace(
-        config,
-        soc_grid=config.soc_grid * 2,
-        action_grid=config.action_grid * 2,
-        exact_cap=config.exact_cap * 4,
-    )
     problem = _build_problem(scenario)
     A = np.array([s.a for s in schedules])
     E = np.array([s.e for s in schedules])
-    env = _build_env(problem, A, E, m, config.terminal_soc_min)
-    current = _bill_of(env, A[m], E[m])
-    _, _, best = _best_response_env(env, A[m], E[m], fine)
-    return max(0.0, current - best)
+    return _deviation(problem, A, E, m, config)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -624,53 +643,25 @@ def initial_state(scenario: Scenario, config: GameConfig):
         s = env.s0
         for t in range(horizon):
             d = float(env.d[t])
+            phi_p = float(_phi_plus_vec(env, s))
             if env.taker[t]:
-                phi_p = float(_phi_plus_vec(env, np.array([s]))[0])
-                a_lo = min(
-                    0.0, max(env.phim, -(s - env.s_min) * env.c_discharge, -d)
-                )
-                a_hi = max(0.0, min(phi_p, (env.s_max - s) / env.c_charge))
                 if config.cold_start:
                     a, e = 0.0, 0.0
                 else:
-                    a = rng.uniform(a_lo, a_hi)
-                    e_lo = min(0.0, max(-d - a, -pool_remaining[t]))
+                    a = rng.uniform(*_taker_action_range(env, s, d, phi_p))
+                    e_lo = _taker_draw_floor(d, a, pool_remaining[t])
                     e = rng.uniform(e_lo, 0.0)
                 pool_remaining[t] += e  # e <= 0 draws the pool down
             else:
-                phi_p = float(_phi_plus_vec(env, np.array([s]))[0])
-                e_hi = -d
-                e_lo = min(
-                    e_hi,
-                    max(
-                        0.0,
-                        -d - phi_p,
-                        -d - (env.s_max - s) / env.bat.eta_plus,
-                    ),
-                )
                 if config.cold_start:
-                    e = e_hi
-                    a = 0.0
+                    a, e = 0.0, -d
                 else:
-                    e = rng.uniform(e_lo, e_hi)
-                    local = max(0.0, -d - e)
-                    a_cap = max(
-                        0.0,
-                        min(
-                            phi_p - local,
-                            (env.s_max - s - env.bat.eta_plus * local)
-                            / env.c_charge,
-                        ),
-                    )
-                    a = rng.uniform(0.0, a_cap)
+                    e = rng.uniform(*_giver_offer_range(env, s, d, phi_p, 0.0))
+                    a = rng.uniform(0.0, _giver_charge_cap(env, s, d, phi_p, e))
                 pool_remaining[t] += problem.eta_bar * e
             A[m, t] = a
             E[m, t] = e
-            s = float(
-                _transition(
-                    env, t, np.array([s]), np.array([[a]]), np.array([[e]])
-                )[0, 0]
-            )
+            s = float(_transition(env, t, s, a, e))
     return A, E
 
 
@@ -681,15 +672,6 @@ def _state_hash(A, E) -> str:
     return h.hexdigest()
 
 
-def _fine_config(config: GameConfig) -> GameConfig:
-    return replace(
-        config,
-        soc_grid=config.soc_grid * 2,
-        action_grid=config.action_grid * 2,
-        exact_cap=config.exact_cap * 4,
-    )
-
-
 def _certification_pass(problem, A, E, config, adopt_threshold=None):
     """Measure every household's deviation gain on the 2x finer grids.
 
@@ -698,14 +680,10 @@ def _certification_pass(problem, A, E, config, adopt_threshold=None):
     Returns (gains, adopted_any).  When nothing is adopted, the gains are
     a valid simultaneous certificate for the (unchanged) state.
     """
-    fine = _fine_config(config)
     gains = []
     adopted = False
     for m in range(A.shape[0]):
-        env = _build_env(problem, A, E, m, config.terminal_soc_min)
-        current = _bill_of(env, A[m], E[m])
-        a, e, best = _best_response_env(env, A[m], E[m], fine)
-        gain = max(0.0, current - best)
+        a, e, gain = _deviation(problem, A, E, m, config)
         if adopt_threshold is not None and gain > adopt_threshold:
             A[m] = a
             E[m] = e
@@ -749,11 +727,8 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
     # discretized game, so certification only measures; in grid mode the
     # certification pass doubles as a polish step by adopting improvements.
     exact_mode = all(
-        _exact_tree_size(
-            _build_env(problem, A, E, m, None), config.action_grid
-        )
-        <= math.log(config.exact_cap)
-        for m in range(A.shape[0])
+        _exact_tree_size(taker, config.action_grid) <= math.log(config.exact_cap)
+        for taker in problem.taker
     )
     if converged_sweeps:
         gains = []
@@ -793,20 +768,7 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
         scenario.eta_bar,
         scenario.dt,
     )
-    bills = []
-    horizon = scenario.horizon
-    for m in range(len(schedules)):
-        others = np.array(
-            [
-                math.fsum(
-                    trace.loads[k, t]
-                    for k in range(len(schedules))
-                    if k != m
-                )
-                for t in range(horizon)
-            ]
-        )
-        bills.append(billing.daily_bill(trace.loads[m], others, scenario.tariff))
+    bills = billing.community_bills(trace.loads, scenario.tariff)
     base_grid = np.linspace(0.0, 1.0, config.soc_grid)
     snaps = []
     for m, h in enumerate(scenario.households):

@@ -56,19 +56,8 @@ class BaselineResult:
 
 def run_baseline(scenario: Scenario) -> BaselineResult:
     loads = baseline_loads(scenario)
-    n, horizon = loads.shape
-    aggregated = np.array(
-        [math.fsum(loads[:, t].tolist()) for t in range(horizon)]
-    )
-    bills = []
-    for m in range(n):
-        others = np.array(
-            [
-                math.fsum(loads[k, t] for k in range(n) if k != m)
-                for t in range(horizon)
-            ]
-        )
-        bills.append(billing.daily_bill(loads[m], others, scenario.tariff))
+    aggregated = np.array([math.fsum(column) for column in loads.T.tolist()])
+    bills = billing.community_bills(loads, scenario.tariff)
     return BaselineResult(
         loads=loads,
         aggregated=aggregated,

@@ -10,14 +10,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .battery import BatteryParams, residential_battery
 from .billing import TariffParams
-from .decisions import HouseholdProfile, Role, classify, net_demand
+from .decisions import HouseholdProfile, net_demand
 from .errors import InvalidBatteryParamsError, ScenarioValidationError
 
 SCHEMA_VERSION = 1
@@ -45,7 +46,7 @@ class Scenario:
     def validate(self) -> list:
         """Return all invariant violations as human-readable strings."""
         problems = []
-        if not (isinstance(self.horizon, int) and self.horizon >= 1):
+        if not _is_count(self.horizon):
             problems.append("T: must be a positive integer, got %r" % self.horizon)
             return problems
         if not (0.0 < self.eta_inv <= 1.0):
@@ -78,10 +79,6 @@ class Scenario:
                 for h in self.households
             ]
         )
-
-    def roles(self) -> np.ndarray:
-        """Boolean matrix, True where the household is a taker, shape (M, T)."""
-        return self.net_demands() > 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -120,7 +117,53 @@ class Scenario:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _battery_from_dict(data: dict, path: str, problems: list):
+def _is_count(value) -> bool:
+    """A positive int; YAML booleans are ints to Python but not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _brief(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def number_series(value):
+    """``value`` as a 1-D float array, or None if it is not a list of numbers.
+
+    Booleans, strings, nested lists and mappings are rejected; non-finite
+    entries pass here and are left to the model validators.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return None
+    if array.ndim != 1 or array.dtype.kind not in "iuf":
+        return None
+    return array.astype(float, copy=False)
+
+
+def _number(value, path, problems, fallback):
+    """``value`` as a finite float; else list a violation, return ``fallback``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    problems.append("%s: must be a finite number, got %s" % (path, _brief(value)))
+    return fallback
+
+
+def _series(value, path, problems):
+    array = number_series(value)
+    if array is None:
+        problems.append("%s: must be a list of numbers, got %s" % (path, _brief(value)))
+        return np.zeros(0)
+    return array
+
+
+def _battery_from_dict(data, path: str, problems: list):
     keys = (
         "s_min",
         "s_max",
@@ -131,60 +174,88 @@ def _battery_from_dict(data: dict, path: str, problems: list):
         "eta_minus",
         "gamma_2",
     )
+    if not isinstance(data, dict):
+        problems.append("%s: must be a mapping, got %s" % (path, _brief(data)))
+        return None
     missing = [k for k in keys if k not in data]
     if missing:
         problems.append("%s: missing fields %s" % (path, ", ".join(missing)))
         return None
+    values = {k: _number(data[k], "%s.%s" % (path, k), problems, None) for k in keys}
+    if None in values.values():
+        return None
     try:
-        return BatteryParams(**{k: float(data[k]) for k in keys})
+        return BatteryParams(**values)
     except InvalidBatteryParamsError as exc:
         problems.append("%s: %s" % (path, exc))
         return None
+
+
+def _household_from_dict(hdata: dict, i: int, problems: list) -> HouseholdProfile:
+    path = "households[%d]" % i
+    battery = _battery_from_dict(hdata.get("battery", {}), path + ".battery", problems)
+    if battery is None:
+        battery = residential_battery()
+    return HouseholdProfile(
+        id=str(hdata.get("id", i)),
+        demand=_series(hdata.get("demand", []), path + ".demand", problems),
+        re_output=_series(hdata.get("re_output", []), path + ".re_output", problems),
+        battery=battery,
+        initial_soc=_number(
+            hdata.get("initial_soc", battery.s_min),
+            path + ".initial_soc",
+            problems,
+            battery.s_min,
+        ),
+    )
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and fully validate a Scenario from a plain dict.
 
     Collects every violation before raising, so a bad file is reported in
-    one pass.
+    one pass.  A field of the wrong type is listed and replaced by a
+    harmless stand-in, so the remaining checks still run.
     """
     problems = []
     if not isinstance(data, dict):
         raise ScenarioValidationError(["document root must be a mapping"])
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         problems.append(
-            "schema_version: expected %d, got %r" % (SCHEMA_VERSION, version)
+            "schema_version: expected %d, got %s" % (SCHEMA_VERSION, _brief(version))
         )
     horizon = data.get("T")
-    if not isinstance(horizon, int) or horizon < 1:
-        problems.append("T: must be a positive integer, got %r" % horizon)
+    if not _is_count(horizon):
+        problems.append("T: must be a positive integer, got %s" % _brief(horizon))
         raise ScenarioValidationError(problems)
     tariff_data = data.get("tariff") or {}
+    if not isinstance(tariff_data, dict):
+        problems.append("tariff: must be a mapping, got %s" % _brief(tariff_data))
+        tariff_data = {}
     tariff = TariffParams(
-        p0=float(tariff_data.get("p0", 0.0)),
-        generation=np.asarray(tariff_data.get("generation", []), dtype=float),
+        p0=_number(tariff_data.get("p0", 0.0), "tariff.p0", problems, 1.0),
+        generation=_series(
+            tariff_data.get("generation", []), "tariff.generation", problems
+        ),
     )
+    entries = data.get("households") or []
+    if not isinstance(entries, list):
+        problems.append("households: must be a list, got %s" % _brief(entries))
+        entries = []
     households = []
-    for i, hdata in enumerate(data.get("households") or []):
-        path = "households[%d]" % i
-        battery = _battery_from_dict(hdata.get("battery") or {}, path + ".battery", problems)
-        if battery is None:
-            battery = residential_battery()
-        households.append(
-            HouseholdProfile(
-                id=str(hdata.get("id", i)),
-                demand=np.asarray(hdata.get("demand", []), dtype=float),
-                re_output=np.asarray(hdata.get("re_output", []), dtype=float),
-                battery=battery,
-                initial_soc=float(hdata.get("initial_soc", battery.s_min)),
+    for i, hdata in enumerate(entries):
+        if isinstance(hdata, dict):
+            households.append(_household_from_dict(hdata, i, problems))
+        else:
+            problems.append(
+                "households[%d]: must be a mapping, got %s" % (i, _brief(hdata))
             )
-        )
     scenario = Scenario(
         households=households,
         tariff=tariff,
-        eta_inv=float(data.get("eta_inv", 0.0)),
-        eta_bar=float(data.get("eta_bar", 0.0)),
+        eta_inv=_number(data.get("eta_inv", 0.0), "eta_inv", problems, 1.0),
+        eta_bar=_number(data.get("eta_bar", 0.0), "eta_bar", problems, 1.0),
         horizon=horizon,
     )
     problems.extend(scenario.validate())

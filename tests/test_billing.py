@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridshare import TariffParams, daily_bill, daily_bill_decomposed, unit_price
+from gridshare.billing import community_bills
 from gridshare.errors import LengthMismatchError
 
 load_series = st.lists(
@@ -121,3 +122,31 @@ class TestExternalityDirection:
         tariff = TariffParams(p0=-1.0, generation=[1.0, -2.0])
         problems = tariff.validate(3)
         assert len(problems) == 3
+
+
+class TestCommunityBills:
+    @pytest.mark.parametrize("households", [1, 2, 7, 64])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_daily_bill_against_the_others(self, households, seed):
+        rng = np.random.default_rng(seed)
+        horizon = 24
+        loads = rng.uniform(0.0, 3.0, size=(households, horizon))
+        generation = rng.uniform(0.0, 3.0 * households, size=horizon)
+        tariff = TariffParams(p0=0.01, generation=generation)
+        bills = community_bills(loads, tariff)
+        assert len(bills) == households
+        for m in range(households):
+            others = [
+                math.fsum(loads[k, t] for k in range(households) if k != m)
+                for t in range(horizon)
+            ]
+            want = daily_bill(loads[m], others, tariff)
+            if households <= 2:
+                assert bills[m] == want
+            else:
+                assert bills[m] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_length_mismatch_rejected(self):
+        tariff = TariffParams(p0=1.0, generation=[1.0, 2.0])
+        with pytest.raises(LengthMismatchError):
+            community_bills(np.ones((2, 3)), tariff)

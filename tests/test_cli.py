@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from gridshare import GameConfig
 from gridshare.cli import main
 
 
@@ -95,6 +97,17 @@ class TestSolveCommand:
             outs[1] / "traces.csv"
         ).read_bytes()
 
+    def test_flag_defaults_are_the_config_defaults(self, runner, tmp_path):
+        scen = synth_file(runner, tmp_path / "scen.yaml")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["solve", "--scenario", str(scen), "--out", str(out), "--baseline-only"],
+        )
+        assert result.exit_code == 0, result.output
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["config"] == dataclasses.asdict(GameConfig())
+
     def test_baseline_only(self, runner, tmp_path):
         scen = synth_file(runner, tmp_path / "scen.yaml")
         out = tmp_path / "out"
@@ -186,3 +199,61 @@ class TestCertifyCommand:
         )
         assert result.exit_code == 1
         assert "digest" in result.output
+
+
+@pytest.fixture
+def baseline_result(runner, tmp_path):
+    """A scenario plus a well-formed result.json whose game section is
+    rebuilt from the baseline run (zero decisions, which are feasible)."""
+    scen = synth_file(runner, tmp_path / "scen.yaml")
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["solve", "--scenario", str(scen), "--out", str(out), "--baseline-only"],
+    )
+    assert result.exit_code == 0, result.output
+    doc = json.loads((out / "result.json").read_text())
+    horizon = len(doc["baseline"]["aggregated_load"])
+    zeros = [0.0] * horizon
+    doc["game"] = {
+        "households": {
+            hid: {"a": zeros, "e": zeros} for hid in doc["baseline"]["bills"]
+        }
+    }
+    return scen, doc, tmp_path / "result.json"
+
+
+def _certify(runner, scen, doc, path):
+    path.write_text(json.dumps(doc))
+    return runner.invoke(
+        main, ["certify", "--scenario", str(scen), "--result", str(path)]
+    )
+
+
+def test_certify_checks_the_intact_baseline_document(runner, baseline_result):
+    result = _certify(runner, *baseline_result)
+    assert result.exit_code == 2, result.output  # zero decisions are no equilibrium
+    assert "FAIL" in result.output
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda doc: doc["config"].update(bogus=1), id="unknown-config-key"),
+        pytest.param(lambda doc: doc["config"].update(epsilon=0), id="zero-epsilon"),
+        pytest.param(lambda doc: doc["game"]["households"].pop("h1"), id="missing-household"),
+        pytest.param(
+            lambda doc: doc["game"]["households"]["h1"].update(
+                a=[-100.0] * len(doc["game"]["households"]["h1"]["a"])
+            ),
+            id="infeasible-schedule",
+        ),
+    ],
+)
+def test_certify_rejects_bad_result_document(runner, baseline_result, corrupt):
+    scen, doc, path = baseline_result
+    corrupt(doc)
+    result = _certify(runner, scen, doc, path)
+    assert result.exit_code == 1, result.output
+    assert "error:" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)

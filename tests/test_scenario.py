@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridshare import Scenario, SynthShape, load_scenario, save_scenario, synth_scenario
 from gridshare.errors import ScenarioValidationError
@@ -83,6 +87,72 @@ class TestLoading:
         with pytest.raises(ScenarioValidationError) as exc:
             load_scenario(path)
         assert any("parse error" in p for p in exc.value.problems)
+
+
+def _with(path, value):
+    """minimal_doc() with the entry at ``path`` (a key tuple) set to ``value``."""
+    doc = minimal_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+MALFORMED = [
+    pytest.param(("households", 0, "demand"), [1.0, math.nan], "demand", id="nan-demand"),
+    pytest.param(("households", 0, "demand"), [math.inf, 1.0], "demand", id="inf-demand"),
+    pytest.param(("households", 0, "re_output"), [math.nan, 0.0], "re_output", id="nan-re"),
+    pytest.param(("households", 0, "re_output"), [0.0, -math.inf], "re_output", id="inf-re"),
+    pytest.param(("tariff", "generation"), [math.nan, 1.0], "generation", id="nan-gen"),
+    pytest.param(("tariff", "generation"), [1.0, math.inf], "generation", id="inf-gen"),
+    pytest.param(("eta_inv",), "abc", "eta_inv", id="text-eta-inv"),
+    pytest.param(("households", 0, "demand"), "x", "demand", id="text-demand"),
+    pytest.param(("households", 0), 5, "households[0]", id="household-not-mapping"),
+    pytest.param(("T",), True, "T", id="bool-horizon"),
+]
+
+
+@pytest.mark.parametrize("path, value, field", MALFORMED)
+def test_malformed_field_is_listed(path, value, field):
+    with pytest.raises(ScenarioValidationError) as exc:
+        scenario_from_dict(_with(path, value))
+    assert any(field in p for p in exc.value.problems), exc.value.problems
+
+
+FIELD_NAMES = [
+    "schema_version", "T", "eta_inv", "eta_bar", "tariff", "p0", "generation",
+    "households", "id", "demand", "re_output", "initial_soc", "battery",
+    "s_min", "s_max", "rho_plus", "rho_minus", "rho_bar", "eta_plus",
+    "eta_minus", "gamma_2",
+]
+LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+NESTED = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=20,
+)
+DOC_PATHS = [
+    ("T",), ("eta_inv",), ("eta_bar",), ("tariff",), ("tariff", "p0"),
+    ("tariff", "generation"), ("households",), ("households", 0),
+    ("households", 0, "demand"), ("households", 0, "initial_soc"),
+    ("households", 0, "battery"), ("households", 0, "battery", "s_max"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=NESTED
+    | st.builds(_with, st.sampled_from(DOC_PATHS), NESTED)
+)
+def test_any_document_is_a_scenario_or_a_listed_violation(doc):
+    try:
+        scenario = scenario_from_dict(doc)
+    except ScenarioValidationError as exc:
+        assert exc.problems and all(isinstance(p, str) for p in exc.problems)
+    else:
+        assert isinstance(scenario, Scenario)
 
 
 class TestRoundTrip:
