@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: ``synth`` (generate a scenario file), ``check`` (validate
-only), ``solve`` (baseline + game + emission), ``certify`` (re-verify an
-emitted result with the independent finer deviation oracle).
+only), ``solve`` (baseline + game + emission), ``certify`` (replay an
+emitted result and rerun the solver's own 2x finer best-response search,
+which is the search that certified it, not an independent check).
 
 Exit codes: 0 success / converged, 2 non-converged (report still written,
 or certification failed), 1 input error.
@@ -206,7 +207,7 @@ def _read_result(doc, scenario):
 @click.option("--result", "result_path", required=True, type=click.Path())
 @click.option("--epsilon", default=None, type=float, help="override the run's epsilon")
 def certify(scenario_path, result_path, epsilon):
-    """Re-verify an emitted result with the finer deviation-gain oracle."""
+    """Rerun the solver's 2x finer best-response search on an emitted result."""
     scenario = _load(scenario_path)
     try:
         with open(result_path) as fh:

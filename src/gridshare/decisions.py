@@ -288,11 +288,13 @@ def replay_household(
     """Re-simulate one household's schedule from scratch.
 
     Raises InfeasibleActionError / InfeasibleDecisionError if the schedule
-    violates SOC bounds or role constraints.  Pool-level feasibility is
-    checked separately by :func:`audit_community`.
+    violates SOC bounds or leaves its role's feasible region (rate limits,
+    SOC headroom, load >= 0) at the replayed SOC.  The pool is unbounded
+    here: pool-level feasibility is checked by :func:`audit_community`.
     """
     horizon = len(schedule)
     d = net_demand(profile.demand, profile.re_output, eta_inv)
+    bat = profile.battery
     loads = np.zeros(horizon)
     soc = np.zeros(horizon + 1)
     roles = []
@@ -301,24 +303,23 @@ def replay_household(
     for t in range(horizon):
         a = float(schedule.a[t])
         e = float(schedule.e[t])
-        role = classify(float(d[t]))
+        d_t = float(d[t])
+        role = classify(d_t)
         roles.append(role)
         if role is Role.TAKER:
-            if e > FEAS_TOL:
-                raise InfeasibleDecisionError(
-                    "taker sharing decision must be <= 0 (t=%d, e=%g)" % (t, e)
-                )
-            loads[t] = load(role, float(d[t]), IntervalDecision(a, e))
-            s = soc_next_taker(s, a, profile.battery, eta_inv, dt)
+            region = taker_bounds(s, d_t, math.inf, bat, eta_inv, dt)
         else:
-            if e < -FEAS_TOL or e > -float(d[t]) + FEAS_TOL:
-                raise InfeasibleDecisionError(
-                    "giver offer out of [0, -d] (t=%d, e=%g, d=%g)"
-                    % (t, e, float(d[t]))
-                )
-            local = -float(d[t]) - e
-            loads[t] = load(role, float(d[t]), IntervalDecision(a, e))
-            s = soc_next_giver(s, a, max(local, 0.0), profile.battery, eta_inv, dt)
+            region = giver_bounds(s, d_t, bat, eta_inv, dt)
+        if not region.contains(a, e):
+            raise InfeasibleDecisionError(
+                "%s decision outside its feasible region (t=%d, a=%g, e=%g, "
+                "d=%g, soc=%g)" % (role.value, t, a, e, d_t, s)
+            )
+        loads[t] = load(role, d_t, IntervalDecision(a, e))
+        if role is Role.TAKER:
+            s = soc_next_taker(s, a, bat, eta_inv, dt)
+        else:
+            s = soc_next_giver(s, a, max(-d_t - e, 0.0), bat, eta_inv, dt)
         soc[t + 1] = s
     return HouseholdTrace(loads=loads, soc=soc, roles=roles)
 

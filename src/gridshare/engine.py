@@ -10,9 +10,13 @@ below the convergence tolerance.  For tiny instances the candidate tree
 is enumerated exhaustively instead, which makes the solver bit-comparable
 to a brute-force oracle.
 
-The outer loop is Gauss-Seidel: households respond in fixed id order,
-each seeing the freshest schedules of the others.  Convergence is
-certified independently with a search on 2x finer grids.
+The outer loop repeats one Gauss-Seidel pass: households respond in fixed
+id order, each seeing the freshest schedules of the others, and a response
+is adopted only when it lowers the bill by more than a threshold.  Coarse
+sweeps adopt every drop until none exceeds epsilon.  Then passes on 2x finer
+grids adopt drops above epsilon / 4 (none in exact mode); the first pass
+that adopts nothing certifies the state.  So the certificate is the same 2x
+search that polished the state, not an independent check.
 """
 
 from __future__ import annotations
@@ -541,19 +545,36 @@ def _best_response_env(env: _Env, inc_a, inc_e, config: GameConfig):
     return best_a, best_e, best_bill
 
 
-def best_response(
-    scenario: Scenario,
-    schedules: list,
-    m: int,
-    config: GameConfig,
-) -> Schedule:
-    """Bill-minimizing schedule for household ``m`` with others held fixed."""
-    problem = _build_problem(scenario)
-    A = np.array([s.a for s in schedules])
-    E = np.array([s.e for s in schedules])
+# ---------------------------------------------------------------------------
+# Gauss-Seidel passes and the outer loop
+
+
+def _respond(problem, A, E, m, config):
+    """Household ``m``'s best response on ``config``'s grids: (a, e, gain >= 0)."""
     env = _build_env(problem, A, E, m, config.terminal_soc_min)
-    a, e, _ = _best_response_env(env, A[m], E[m], config)
-    return Schedule(a, e)
+    old_bill = _bill_of(env, A[m], E[m])
+    a, e, new_bill = _best_response_env(env, A[m], E[m], config)
+    assert new_bill <= old_bill + 1e-12, "best response worsened a bill"
+    return a, e, max(0.0, old_bill - new_bill)
+
+
+def _pass(problem, A, E, config, adopt_above):
+    """One Gauss-Seidel pass in id order, adopting gains above ``adopt_above``.
+
+    Returns every household's gain; ``math.inf`` measures without adopting.
+    """
+    gains = []
+    for m in range(A.shape[0]):
+        a, e, gain = _respond(problem, A, E, m, config)
+        if gain > adopt_above:
+            A[m] = a
+            E[m] = e
+        gains.append(gain)
+    return gains
+
+
+def _matrices(schedules):
+    return np.array([s.a for s in schedules]), np.array([s.e for s in schedules])
 
 
 def _fine_config(config: GameConfig) -> GameConfig:
@@ -565,12 +586,16 @@ def _fine_config(config: GameConfig) -> GameConfig:
     )
 
 
-def _deviation(problem, A, E, m, config):
-    """Household ``m``'s best deviation on the 2x finer grids: (a, e, gain)."""
-    env = _build_env(problem, A, E, m, config.terminal_soc_min)
-    current = _bill_of(env, A[m], E[m])
-    a, e, best = _best_response_env(env, A[m], E[m], _fine_config(config))
-    return a, e, max(0.0, current - best)
+def best_response(
+    scenario: Scenario,
+    schedules: list,
+    m: int,
+    config: GameConfig,
+) -> Schedule:
+    """Bill-minimizing schedule for household ``m`` with others held fixed."""
+    A, E = _matrices(schedules)
+    a, e, _ = _respond(_build_problem(scenario), A, E, m, config)
+    return Schedule(a, e)
 
 
 def deviation_gain(
@@ -583,32 +608,8 @@ def deviation_gain(
 
     Non-negative by construction: the current schedule seeds the search.
     """
-    problem = _build_problem(scenario)
-    A = np.array([s.a for s in schedules])
-    E = np.array([s.e for s in schedules])
-    return _deviation(problem, A, E, m, config)[2]
-
-
-# ---------------------------------------------------------------------------
-# sweeps and the outer loop
-
-
-def _sweep_matrices(problem, A, E, config):
-    improved = False
-    max_drop = 0.0
-    n = A.shape[0]
-    for m in range(n):
-        env = _build_env(problem, A, E, m, config.terminal_soc_min)
-        old_bill = _bill_of(env, A[m], E[m])
-        a, e, new_bill = _best_response_env(env, A[m], E[m], config)
-        assert new_bill <= old_bill + 1e-12, "best response worsened a bill"
-        A[m] = a
-        E[m] = e
-        drop = old_bill - new_bill
-        max_drop = max(max_drop, drop)
-        if drop > config.epsilon:
-            improved = True
-    return improved, max_drop
+    A, E = _matrices(schedules)
+    return _respond(_build_problem(scenario), A, E, m, _fine_config(config))[2]
 
 
 def sweep(scenario: Scenario, schedules: list, config: GameConfig):
@@ -617,11 +618,9 @@ def sweep(scenario: Scenario, schedules: list, config: GameConfig):
     Returns (new_schedules, improved); improved is True iff some
     household's bill dropped by more than epsilon.
     """
-    problem = _build_problem(scenario)
-    A = np.array([s.a for s in schedules])
-    E = np.array([s.e for s in schedules])
-    improved, _ = _sweep_matrices(problem, A, E, config)
-    return [Schedule(A[m], E[m]) for m in range(len(schedules))], improved
+    A, E = _matrices(schedules)
+    gains = _pass(_build_problem(scenario), A, E, config, 0.0)
+    return [Schedule(a, e) for a, e in zip(A, E)], max(gains) > config.epsilon
 
 
 def initial_state(scenario: Scenario, config: GameConfig):
@@ -672,49 +671,28 @@ def _state_hash(A, E) -> str:
     return h.hexdigest()
 
 
-def _certification_pass(problem, A, E, config, adopt_threshold=None):
-    """Measure every household's deviation gain on the 2x finer grids.
-
-    With ``adopt_threshold`` set, any improvement above it is adopted
-    Gauss-Seidel style (the finer search doubles as a polish step).
-    Returns (gains, adopted_any).  When nothing is adopted, the gains are
-    a valid simultaneous certificate for the (unchanged) state.
-    """
-    gains = []
-    adopted = False
-    for m in range(A.shape[0]):
-        a, e, gain = _deviation(problem, A, E, m, config)
-        if adopt_threshold is not None and gain > adopt_threshold:
-            A[m] = a
-            E[m] = e
-            adopted = True
-        gains.append(gain)
-    return gains, adopted
-
-
 def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
     """Iterated best response from a seeded start, with certification.
 
     Deterministic for a fixed (scenario, config).  Non-convergence (cycle
     or sweep budget exhausted) is reported, not raised: the result carries
-    converged=False plus the certified deviation gains of the best state
-    seen.
+    converged=False plus the certified deviation gains of the better of
+    the last two states.
     """
     problem = _build_problem(scenario)
+    fine = _fine_config(config)
     A, E = initial_state(scenario, config)
     seen = {_state_hash(A, E)}
     log = []
     converged_sweeps = False
     cycle = False
     sweeps_used = 0
-    recent_states = [(A.copy(), E.copy())]
     for _ in range(config.max_sweeps):
-        improved, max_drop = _sweep_matrices(problem, A, E, config)
+        previous = (A.copy(), E.copy())
+        max_drop = max(_pass(problem, A, E, config, 0.0))
         sweeps_used += 1
         log.append({"sweep": sweeps_used, "max_bill_drop": max_drop})
-        recent_states.append((A.copy(), E.copy()))
-        recent_states = recent_states[-3:]
-        if not improved:
+        if max_drop <= config.epsilon:
             converged_sweeps = True
             break
         h = _state_hash(A, E)
@@ -723,21 +701,16 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
             break
         seen.add(h)
 
-    # In exact mode the sweep fixed point is the exact equilibrium of the
-    # discretized game, so certification only measures; in grid mode the
-    # certification pass doubles as a polish step by adopting improvements.
-    exact_mode = all(
-        _exact_tree_size(taker, config.action_grid) <= math.log(config.exact_cap)
-        for taker in problem.taker
-    )
     if converged_sweeps:
-        gains = []
-        clean = False
-        adopt = None if exact_mode else config.epsilon * 0.25
+        # In exact mode the sweep fixed point is the exact equilibrium of the
+        # discretized game, so the fine passes only measure; else they polish.
+        exact_mode = all(
+            _exact_tree_size(taker, config.action_grid) <= math.log(config.exact_cap)
+            for taker in problem.taker
+        )
+        adopt_above = math.inf if exact_mode else config.epsilon * 0.25
         for _ in range(10):
-            gains, adopted = _certification_pass(
-                problem, A, E, config, adopt_threshold=adopt
-            )
+            gains = _pass(problem, A, E, fine, adopt_above)
             log.append(
                 {
                     "sweep": len(log) + 1,
@@ -745,19 +718,18 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
                     "certification": True,
                 }
             )
-            if not adopted:
-                clean = True
+            if max(gains) <= adopt_above:
                 break
-        schedules = [Schedule(A[m], E[m]) for m in range(A.shape[0])]
-        converged_sweeps = clean
+        else:
+            converged_sweeps = False
     else:
-        # pick the best recent state by its certified worst-case gain
-        candidates = []
-        for a_state, e_state in recent_states[-2:]:
-            state_gains, _ = _certification_pass(problem, a_state, e_state, config)
-            candidates.append((a_state, e_state, state_gains))
-        A, E, gains = min(candidates, key=lambda item: max(item[2]))
-        schedules = [Schedule(A[m], E[m]) for m in range(A.shape[0])]
+        # keep whichever of the last two states has the smaller worst gain
+        measured = [
+            (state, _pass(problem, *state, fine, math.inf))
+            for state in (previous, (A, E))
+        ]
+        (A, E), gains = min(measured, key=lambda item: max(item[1]))
+    schedules = [Schedule(a, e) for a, e in zip(A, E)]
 
     max_gain = max(gains)
     converged = converged_sweeps and max_gain <= config.epsilon + 1e-9

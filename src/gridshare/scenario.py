@@ -155,11 +155,12 @@ def _number(value, path, problems, fallback):
     return fallback
 
 
-def _series(value, path, problems):
+def _series(value, path, problems, horizon):
+    """``value`` as a float array; else list a violation, return T zeros."""
     array = number_series(value)
     if array is None:
         problems.append("%s: must be a list of numbers, got %s" % (path, _brief(value)))
-        return np.zeros(0)
+        return np.zeros(horizon)
     return array
 
 
@@ -191,15 +192,19 @@ def _battery_from_dict(data, path: str, problems: list):
         return None
 
 
-def _household_from_dict(hdata: dict, i: int, problems: list) -> HouseholdProfile:
+def _household_from_dict(
+    hdata: dict, i: int, horizon: int, problems: list
+) -> HouseholdProfile:
     path = "households[%d]" % i
     battery = _battery_from_dict(hdata.get("battery", {}), path + ".battery", problems)
     if battery is None:
         battery = residential_battery()
     return HouseholdProfile(
         id=str(hdata.get("id", i)),
-        demand=_series(hdata.get("demand", []), path + ".demand", problems),
-        re_output=_series(hdata.get("re_output", []), path + ".re_output", problems),
+        demand=_series(hdata.get("demand", []), path + ".demand", problems, horizon),
+        re_output=_series(
+            hdata.get("re_output", []), path + ".re_output", problems, horizon
+        ),
         battery=battery,
         initial_soc=_number(
             hdata.get("initial_soc", battery.s_min),
@@ -236,7 +241,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     tariff = TariffParams(
         p0=_number(tariff_data.get("p0", 0.0), "tariff.p0", problems, 1.0),
         generation=_series(
-            tariff_data.get("generation", []), "tariff.generation", problems
+            tariff_data.get("generation", []), "tariff.generation", problems, horizon
         ),
     )
     entries = data.get("households") or []
@@ -246,7 +251,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     households = []
     for i, hdata in enumerate(entries):
         if isinstance(hdata, dict):
-            households.append(_household_from_dict(hdata, i, problems))
+            households.append(_household_from_dict(hdata, i, horizon, problems))
         else:
             problems.append(
                 "households[%d]: must be a mapping, got %s" % (i, _brief(hdata))
@@ -268,7 +273,7 @@ def load_scenario(path) -> Scenario:
     """Load and validate a scenario YAML document."""
     with open(path, "r") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ScenarioValidationError(["parse error: %s" % exc])
     return scenario_from_dict(data)

@@ -205,7 +205,11 @@ class TestCertifyCommand:
 def baseline_result(runner, tmp_path):
     """A scenario plus a well-formed result.json whose game section is
     rebuilt from the baseline run (zero decisions, which are feasible)."""
-    scen = synth_file(runner, tmp_path / "scen.yaml")
+    return _baseline_result(runner, tmp_path)
+
+
+def _baseline_result(runner, tmp_path, **synth):
+    scen = synth_file(runner, tmp_path / "scen.yaml", **synth)
     out = tmp_path / "out"
     result = runner.invoke(
         main,
@@ -257,3 +261,16 @@ def test_certify_rejects_bad_result_document(runner, baseline_result, corrupt):
     assert result.exit_code == 1, result.output
     assert "error:" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_certify_rejects_charge_above_rate_limit(runner, tmp_path):
+    # on this day h1 may charge rho_plus * dt = 3.3 at t = 0, and its SOC
+    # has room for 8.1, so only the rate limit rules 4.95 out
+    scen, doc, path = _baseline_result(
+        runner, tmp_path, households=1, intervals=24, seed=7
+    )
+    doc["game"]["households"]["h1"]["a"] = [4.95] + [0.0] * 23
+    result = _certify(runner, scen, doc, path)
+    assert result.exit_code == 1, result.output
+    assert "error:" in result.output
+    assert "feasible region" in result.output

@@ -248,6 +248,29 @@ class TestCommunityReplay:
         with pytest.raises(InfeasibleDecisionError):
             audit_community(scenario.households, schedules, 0.95, 0.9, 12.0)
 
+    @pytest.mark.parametrize(
+        "demand, re_output, a, e",
+        [
+            # rate limit rho_plus * dt = 3.3; the SOC has room for 7.2
+            pytest.param(1.0, 0.0, 4.95, 0.0, id="taker"),
+            # 3.3 less the 1.9 charged locally leaves 1.4 for the grid;
+            # later intervals share all their excess
+            pytest.param(0.0, 2.0, 2.0, 1.9, id="giver"),
+        ],
+    )
+    def test_charge_above_rate_limit_detected(self, demand, re_output, a, e):
+        horizon = 24
+        scenario = make_scenario(
+            demands=[[demand] * horizon],
+            re_outputs=[[re_output] * horizon],
+            generation=[1.0] * horizon,
+        )
+        from gridshare import Schedule
+
+        schedule = Schedule([a] + [0.0] * (horizon - 1), [0.0] + [e] * (horizon - 1))
+        with pytest.raises(InfeasibleDecisionError, match="feasible region"):
+            audit_community(scenario.households, [schedule], 0.95, 0.9, scenario.dt)
+
     def test_taker_cannot_offer(self):
         scenario = make_scenario(
             demands=[[1.0, 1.0]], re_outputs=[[0.0, 0.0]], generation=[1.0, 1.0]

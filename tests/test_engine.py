@@ -365,6 +365,19 @@ class TestDeviationGain:
         idle = [Schedule([0.0, 0.0], [0.0, 0.0])]
         assert deviation_gain(scenario, idle, 0, config) > 0.0
 
+    @pytest.mark.parametrize("max_sweeps", [100, 1], ids=["converged", "sweep-capped"])
+    def test_emitted_gains_match_the_public_measure(self, max_sweeps):
+        from gridshare import synth_scenario
+
+        scenario = synth_scenario(3, 8, seed=0)
+        config = GameConfig(soc_grid=24, action_grid=5, seed=0, max_sweeps=max_sweeps)
+        result = solve(scenario, config)
+        assert result.converged is (max_sweeps > 1)
+        for m in range(scenario.n_households):
+            assert result.deviation_gains[m] == deviation_gain(
+                scenario, result.schedules, m, config
+            )
+
     def test_zero_for_pinched_battery_alone(self, tiny_config):
         bat = simple_battery(
             s_min=5.0, s_max=5.001, rho_plus=0.001, rho_minus=-0.001

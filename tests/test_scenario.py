@@ -108,6 +108,7 @@ MALFORMED = [
     pytest.param(("tariff", "generation"), [1.0, math.inf], "generation", id="inf-gen"),
     pytest.param(("eta_inv",), "abc", "eta_inv", id="text-eta-inv"),
     pytest.param(("households", 0, "demand"), "x", "demand", id="text-demand"),
+    pytest.param(("tariff", "generation"), {"a": 1.0}, "generation", id="mapping-gen"),
     pytest.param(("households", 0), 5, "households[0]", id="household-not-mapping"),
     pytest.param(("T",), True, "T", id="bool-horizon"),
 ]
@@ -117,7 +118,7 @@ MALFORMED = [
 def test_malformed_field_is_listed(path, value, field):
     with pytest.raises(ScenarioValidationError) as exc:
         scenario_from_dict(_with(path, value))
-    assert any(field in p for p in exc.value.problems), exc.value.problems
+    assert sum(field in p for p in exc.value.problems) == 1, exc.value.problems
 
 
 FIELD_NAMES = [
