@@ -21,7 +21,7 @@ import numpy as np
 from .decisions import Schedule, audit_community
 from .engine import GameConfig, deviation_gain
 from .errors import GridShareError, ScenarioValidationError
-from .report import emit, run
+from .report import RESULT_SCHEMA_VERSION, emit, run
 from .scenario import (
     SynthShape,
     load_scenario,
@@ -171,6 +171,11 @@ def _read_result(doc, scenario):
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("game"), dict):
         raise GridShareError("no game section")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != RESULT_SCHEMA_VERSION:
+        raise GridShareError(
+            "schema_version: expected %d, got %r" % (RESULT_SCHEMA_VERSION, version)
+        )
     if doc.get("scenario_digest") != scenario.digest():
         raise GridShareError("scenario digest mismatch with result document")
     config = _config_from_doc(doc.get("config"))

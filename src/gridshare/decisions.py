@@ -119,12 +119,6 @@ class Schedule:
     def __len__(self):
         return len(self.a)
 
-    def decision(self, t: int) -> IntervalDecision:
-        return IntervalDecision(float(self.a[t]), float(self.e[t]))
-
-    def copy(self) -> "Schedule":
-        return Schedule(self.a.copy(), self.e.copy())
-
 
 @dataclass(frozen=True)
 class TakerBounds:

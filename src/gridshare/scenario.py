@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import yaml
@@ -96,16 +96,7 @@ class Scenario:
                     "demand": [float(x) for x in h.demand],
                     "re_output": [float(x) for x in h.re_output],
                     "initial_soc": float(h.initial_soc),
-                    "battery": {
-                        "s_min": h.battery.s_min,
-                        "s_max": h.battery.s_max,
-                        "rho_plus": h.battery.rho_plus,
-                        "rho_minus": h.battery.rho_minus,
-                        "rho_bar": h.battery.rho_bar,
-                        "eta_plus": h.battery.eta_plus,
-                        "eta_minus": h.battery.eta_minus,
-                        "gamma_2": h.battery.gamma_2,
-                    },
+                    "battery": asdict(h.battery),
                 }
                 for h in self.households
             ],
@@ -165,16 +156,7 @@ def _series(value, path, problems, horizon):
 
 
 def _battery_from_dict(data, path: str, problems: list):
-    keys = (
-        "s_min",
-        "s_max",
-        "rho_plus",
-        "rho_minus",
-        "rho_bar",
-        "eta_plus",
-        "eta_minus",
-        "gamma_2",
-    )
+    keys = [f.name for f in fields(BatteryParams)]
     if not isinstance(data, dict):
         problems.append("%s: must be a mapping, got %s" % (path, _brief(data)))
         return None

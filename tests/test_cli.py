@@ -108,6 +108,16 @@ class TestSolveCommand:
         doc = json.loads((out / "result.json").read_text())
         assert doc["config"] == dataclasses.asdict(GameConfig())
 
+    def test_negative_seed_is_input_error(self, runner, tmp_path):
+        scen = synth_file(runner, tmp_path / "scen.yaml")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["solve", "--scenario", str(scen), "--out", str(out), "--seed", "-1"]
+        )
+        assert result.exit_code == 1, result.output
+        assert "error:" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_baseline_only(self, runner, tmp_path):
         scen = synth_file(runner, tmp_path / "scen.yaml")
         out = tmp_path / "out"
@@ -245,6 +255,13 @@ def test_certify_checks_the_intact_baseline_document(runner, baseline_result):
     [
         pytest.param(lambda doc: doc["config"].update(bogus=1), id="unknown-config-key"),
         pytest.param(lambda doc: doc["config"].update(epsilon=0), id="zero-epsilon"),
+        pytest.param(
+            lambda doc: doc["config"].update(refine_rounds=-1), id="negative-refine-rounds"
+        ),
+        pytest.param(lambda doc: doc["config"].update(exact_cap=0), id="zero-exact-cap"),
+        pytest.param(lambda doc: doc.update(schema_version=99), id="wrong-schema-version"),
+        pytest.param(lambda doc: doc.pop("schema_version"), id="missing-schema-version"),
+        pytest.param(lambda doc: doc.update(schema_version=True), id="bool-schema-version"),
         pytest.param(lambda doc: doc["game"]["households"].pop("h1"), id="missing-household"),
         pytest.param(
             lambda doc: doc["game"]["households"]["h1"].update(

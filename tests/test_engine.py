@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gridshare import (
     solve,
     sweep,
 )
+from gridshare.engine import _exhaustive
 from gridshare.errors import GridShareError
 
 from conftest import community_bill, make_scenario, simple_battery
@@ -43,6 +45,12 @@ class TestGameConfig:
             {"max_sweeps": 0},
             {"soc_grid": 1},
             {"action_grid": 2},
+            {"epsilon": math.inf},
+            {"seed": -1},
+            {"refine_rounds": -1},
+            {"exact_cap": 0},
+            {"terminal_soc_min": math.inf},
+            {"terminal_soc_min": math.nan},
         ],
     )
     def test_invalid_config_rejected(self, overrides):
@@ -51,6 +59,13 @@ class TestGameConfig:
 
 
 class TestBestResponse:
+    def test_exhaustive_gate_counts_leaves_exactly(self):
+        # a giver then a taker interval at 9 actions: 81 * 90 = 7290 leaves,
+        # counted exactly, so a cap of 7290 admits the tree and 7289 does not
+        taker = np.array([False, True])
+        assert _exhaustive(taker, 9, 7290)
+        assert not _exhaustive(taker, 9, 7289)
+
     def test_pinched_battery_leaves_load_at_net_demand(self, tiny_config):
         # near-singleton battery: reserve floor almost at capacity, so the
         # only feasible battery actions are vanishingly small
@@ -328,6 +343,16 @@ class TestSolve:
         # the report is still complete and internally consistent
         assert len(result.bills) == 3
         assert result.loads.shape == (3, 8)
+
+    def test_coarse_soc_grid_does_not_warn(self):
+        from gridshare import synth_scenario
+
+        # the grid misses initial_soc; soc_snap records it, nothing warns
+        scenario = synth_scenario(1, 4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve(scenario, GameConfig(soc_grid=8, action_grid=3))
+        assert result.soc_snap[0] > 1e-9
 
     def test_terminal_soc_floor_respected(self):
         scenario = make_scenario(

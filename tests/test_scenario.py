@@ -179,6 +179,12 @@ class TestSynth:
         save_scenario(synth_scenario(4, 24, seed=7), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_reference_day_digest_is_stable(self):
+        # pins the canonical document, battery key order included
+        assert synth_scenario(4, 24, seed=7).digest() == (
+            "ad2990876cae22a6c2712cc78bc9b18e4b9838dfd38e10ad3731cc146dafd32d"
+        )
+
     def test_different_seed_differs(self):
         assert (
             synth_scenario(4, 24, seed=7).digest()
