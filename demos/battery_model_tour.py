@@ -1,9 +1,11 @@
 """A walk through the battery model: CC/CV charging, discharging, idling.
 
-Run with ``python3 demos/battery_model_tour.py``.  Prints the charging
-limit across the SOC range, then follows one battery through a charge /
-discharge / idle day so the three update branches are visible side by
-side.  No plotting dependencies; pipe the table into your tool of choice.
+Run from the repository root with ``PYTHONPATH=src python3
+demos/battery_model_tour.py``, or with ``python3 demos/battery_model_tour.py``
+after ``pip install -e .``.  Prints the charging limit across the SOC range,
+then follows one battery through a charge / discharge / idle day so the
+three update branches are visible side by side.  No plotting dependencies;
+pipe the table into your tool of choice.
 """
 
 import numpy as np

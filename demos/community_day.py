@@ -1,9 +1,10 @@
 """End-to-end day-ahead run for a small prosumer community.
 
-Run with ``python3 demos/community_day.py``.  Generates a synthetic
-4-household scenario, solves the scheduling game, and prints an ASCII
-comparison of the aggregated load against the utility's generation
-forecast, before and after optimization.
+Run from the repository root with ``PYTHONPATH=src python3
+demos/community_day.py``, or with ``python3 demos/community_day.py`` after
+``pip install -e .``.  Generates a synthetic 4-household scenario, solves
+the scheduling game, and prints an ASCII comparison of the aggregated load
+against the utility's generation forecast, before and after optimization.
 """
 
 import numpy as np

@@ -6,9 +6,13 @@ through the battery state-of-charge, so the inner solver is a dynamic
 program over a discretized SOC grid with per-stage candidate enumeration
 (region corners plus uniform samples), followed by iterated local
 refinement on shrinking grids so the returned schedule is accurate well
-below the convergence tolerance.  For tiny instances the candidate tree
-is enumerated exhaustively instead, which makes the solver bit-comparable
-to a brute-force oracle.
+below the convergence tolerance.  A taker's pool draw moves its load but
+not its SOC, so a taker stage minimizes the stage cost over the draws of
+each (state, action) first and steps the SOC and looks up the value once
+per action; rounding is monotone, so that minimum is the one over all
+pairs, bit for bit.  For tiny instances the candidate tree is enumerated
+exhaustively instead, which makes the solver bit-comparable to a
+brute-force oracle.
 
 The outer loop repeats one Gauss-Seidel pass: households respond in fixed
 id order, each seeing the freshest schedules of the others, and a response
@@ -247,7 +251,10 @@ def _giver_charge_cap(env, s, d, phi_p, e):
 
 
 def _taker_candidates(env, t, s, n_act, extra_a, extra_e):
-    """Candidate (a, e) pairs for every state in ``s`` at a taker interval."""
+    """Taker candidates for every state in ``s``: a (n, NA), e (n, NA, NE).
+
+    Row ``i`` of ``e`` holds the draws that go with the action ``a[..., i]``.
+    """
     d = float(env.d[t])
     a_lo, a_hi = _taker_action_range(env, s, d, _phi_plus_vec(env, s))
     fr = np.linspace(0.0, 1.0, n_act)
@@ -258,19 +265,20 @@ def _taker_candidates(env, t, s, n_act, extra_a, extra_e):
             np.clip(extra_a[None, :], a_lo[:, None], a_hi[:, None]),
         ],
         axis=1,
-    )  # (n, NA)
+    )
     e_lo = _taker_draw_floor(d, a, float(env.pool_avail[t]))[:, :, None]
     e = np.concatenate(
         [e_lo * (1.0 - fr[None, None, :]), np.clip(extra_e[None, None, :], e_lo, 0.0)],
         axis=2,
-    )  # (n, NA, NE)
-    a3 = np.broadcast_to(a[:, :, None], e.shape)
-    n = len(s)
-    return a3.reshape(n, -1), e.reshape(n, -1)
+    )
+    return a, e
 
 
 def _giver_candidates(env, t, s, n_act, extra_a, extra_e):
-    """Candidate (a, e) pairs for every state in ``s`` at a giver interval."""
+    """Giver candidates for every state in ``s``: e (n, NE), a (n, NE, NA).
+
+    Row ``i`` of ``a`` holds the grid charges that go with the offer ``e[..., i]``.
+    """
     d = float(env.d[t])
     phi_p = _phi_plus_vec(env, s)
     e_lo, e_hi = _giver_offer_range(env, s, d, phi_p, float(env.min_offer[t]))
@@ -281,21 +289,28 @@ def _giver_candidates(env, t, s, n_act, extra_a, extra_e):
             np.clip(extra_e[None, :], e_lo[:, None], e_hi),
         ],
         axis=1,
-    )  # (n, NE)
+    )
     a_cap = _giver_charge_cap(env, s[:, None], d, phi_p[:, None], e)[:, :, None]
     a = np.concatenate(
         [a_cap * fr[None, None, :], np.clip(extra_a[None, None, :], 0.0, a_cap)],
         axis=2,
-    )  # (n, NE, NA)
-    e3 = np.broadcast_to(e[:, :, None], a.shape)
-    n = len(s)
-    return a.reshape(n, -1), e3.reshape(n, -1)
+    )
+    return e, a
+
+
+def _flat(outer, inner):
+    """(n, P*Q) arrays of an outer (n, P) and an inner (n, P, Q) candidate block."""
+    n = len(inner)
+    outer = np.broadcast_to(outer[:, :, None], inner.shape)
+    return outer.reshape(n, -1), inner.reshape(n, -1)
 
 
 def _candidates(env, t, s, n_act, extra_a, extra_e):
+    """Every candidate (a, e) pair as two (n, K) arrays, one row per state."""
     if env.taker[t]:
-        return _taker_candidates(env, t, s, n_act, extra_a, extra_e)
-    return _giver_candidates(env, t, s, n_act, extra_a, extra_e)
+        return _flat(*_taker_candidates(env, t, s, n_act, extra_a, extra_e))
+    e, a = _flat(*_giver_candidates(env, t, s, n_act, extra_a, extra_e))
+    return a, e
 
 
 def _transition(env, t, s, a, e):
@@ -374,29 +389,43 @@ def _dp(env, grids, n_act, extras_a, extras_e):
 
     Interval t's candidates are the region samples plus ``extras_a[t]`` and
     ``extras_e[t]``; a successor SOC takes the value of its nearest cell.
+
+    A taker's pool draw moves its load but never its SOC, so a taker stage
+    is priced per (state, action): the stage cost is minimized over the
+    draws first, and the SOC step and the value lookup run once per action.
+    That minimum is the flat one bit for bit, since rounding is monotone:
+    min_e fl(c_e + v) == fl(min_e c_e + v), also when v is inf.
     """
     horizon = env.horizon
     values = [None] * (horizon + 1)
     values[horizon] = _terminal_values(env, grids[horizon])
 
-    def totals(t, s):
-        a, e = _candidates(env, t, s, n_act, extras_a[t], extras_e[t])
-        cost = _stage_cost(env, t, _loads_of(env, t, a, e))
-        nxt = _transition(env, t, s[:, None], a, e)
-        return a, e, nxt, cost + values[t + 1][_nearest_idx(grids[t + 1], nxt)]
+    def value_after(t, nxt):
+        return values[t + 1][_nearest_idx(grids[t + 1], nxt)]
 
     for t in range(horizon - 1, 0, -1):
-        # a, e and nxt stay bound until the next stage has allocated its own:
-        # freed first, they let malloc trim the heap, and regrowing it costs
-        # ~2.6x the page faults and 20-30% more solve time
-        _, _, _, total = totals(t, grids[t])
-        values[t] = total.min(axis=1)
+        # a stage's arrays stay bound until the next stage has built its own:
+        # freed at once, they let malloc trim the heap, and regrowing it took
+        # a flagship solve from 0.82M to 1.85M minor page faults
+        s = grids[t]
+        if env.taker[t]:
+            a, e = _taker_candidates(env, t, s, n_act, extras_a[t], extras_e[t])
+            cost = _stage_cost(env, t, _loads_of(env, t, a[:, :, None], e)).min(axis=2)
+        else:
+            a, e = _candidates(env, t, s, n_act, extras_a[t], extras_e[t])
+            cost = _stage_cost(env, t, _loads_of(env, t, a, e))
+        nxt = _transition(env, t, s[:, None], a, e)
+        values[t] = (cost + value_after(t, nxt)).min(axis=1)
 
     a_out = np.zeros(horizon)
     e_out = np.zeros(horizon)
     s = env.s0
     for t in range(horizon):
-        a, e, nxt, total = (x[0] for x in totals(t, np.array([s])))
+        a, e = _candidates(env, t, np.array([s]), n_act, extras_a[t], extras_e[t])
+        a, e = a[0], e[0]
+        cost = _stage_cost(env, t, _loads_of(env, t, a, e))
+        nxt = _transition(env, t, s, a, e)
+        total = cost + value_after(t, nxt)
         if not np.isfinite(total).any():
             raise InfeasibleConfigError(
                 "terminal_soc_min %g unreachable from SOC %g at t=%d"

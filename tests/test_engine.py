@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -15,9 +16,24 @@ from gridshare import (
     phi_plus,
     solve,
     sweep,
+    synth_scenario,
 )
-from gridshare.engine import _exhaustive
-from gridshare.errors import GridShareError
+from gridshare.engine import (
+    _build_env,
+    _build_problem,
+    _candidates,
+    _dp,
+    _exhaustive,
+    _loads_of,
+    _local_grids,
+    _nearest_idx,
+    _soc_trajectory,
+    _stage_cost,
+    _terminal_values,
+    _transition,
+    _uniform_grid,
+)
+from gridshare.errors import GridShareError, InfeasibleConfigError
 
 from conftest import community_bill, make_scenario, simple_battery
 
@@ -419,3 +435,100 @@ class TestDeviationGain:
         )
         gain = deviation_gain(scenario, [sched], 0, tiny_config)
         assert gain <= tiny_config.epsilon
+
+
+def flat_dp(env, grids, n_act, extras_a, extras_e):
+    """Reference DP that steps and looks up every (a, e) pair of every stage.
+
+    Returns the rolled-out (a, e) and the backward values.
+    """
+    horizon = env.horizon
+    values = [None] * (horizon + 1)
+    values[horizon] = _terminal_values(env, grids[horizon])
+
+    def totals(t, s):
+        a, e = _candidates(env, t, s, n_act, extras_a[t], extras_e[t])
+        cost = _stage_cost(env, t, _loads_of(env, t, a, e))
+        nxt = _transition(env, t, s[:, None], a, e)
+        return a, e, nxt, cost + values[t + 1][_nearest_idx(grids[t + 1], nxt)]
+
+    for t in range(horizon - 1, 0, -1):
+        values[t] = totals(t, grids[t])[3].min(axis=1)
+
+    a_out = np.zeros(horizon)
+    e_out = np.zeros(horizon)
+    s = env.s0
+    for t in range(horizon):
+        a, e, nxt, total = (x[0] for x in totals(t, np.array([s])))
+        if not np.isfinite(total).any():
+            raise InfeasibleConfigError("unreachable")
+        best = np.lexsort((nxt, np.abs(e), np.abs(a), total))[0]
+        a_out[t] = a[best]
+        e_out[t] = e[best]
+        s = float(nxt[best])
+    return a_out, e_out, values
+
+
+class TestStageReduction:
+    def test_dp_matches_flat_reference_bit_for_bit(self):
+        # taker stages minimize the draw before the SOC step and the lookup;
+        # the rolled-out schedule must equal the all-pairs reference exactly
+        rng = np.random.default_rng(2024)
+        seen = {"taker": 0, "giver": 0, "inf": 0, "local": 0}
+        for case in range(48):
+            M, T = int(rng.integers(2, 4)), int(rng.integers(4, 11))
+            scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
+            problem = _build_problem(scenario)
+            A, E = initial_state(scenario, GameConfig(seed=case))
+            m = int(rng.integers(0, M))
+            bat = scenario.households[m].battery
+            terminal = None
+            if case % 2:
+                terminal = bat.s_min + rng.uniform(0.1, 0.7) * (bat.s_max - bat.s_min)
+            env = _build_env(problem, A, E, m, terminal)
+            n_act = int(rng.integers(3, 10))
+            n_grid = int(rng.integers(6, 48))
+            sigma = rng.uniform(0.05, 0.5) * (env.s_max - env.s_min)
+            if case % 3 == 0:
+                grids = [_uniform_grid(env, n_grid)] * (T + 1)
+            else:
+                traj = _soc_trajectory(env, A[m], E[m])
+                grids = _local_grids(env, traj, n_grid, sigma)
+                seen["local"] += 1
+            offsets = sigma * np.linspace(-1.0, 1.0, int(rng.integers(1, 8)))
+            extras_a = A[m][:, None] + offsets
+            extras_e = E[m][:, None] + offsets
+            ref_a, ref_e, values = flat_dp(env, grids, n_act, extras_a, extras_e)
+            a, e = _dp(env, grids, n_act, extras_a, extras_e)
+            assert np.array_equal(a, ref_a) and np.array_equal(e, ref_e), case
+            seen["taker"] += int(env.taker.sum())
+            seen["giver"] += int((~env.taker).sum())
+            seen["inf"] += int(any(np.isinf(v).any() for v in values[1:]))
+        assert min(seen.values()) > 0, seen
+
+
+class TestGoldenSchedules:
+    # sha256 of the solved A then E (float64, C order): a kernel change that
+    # moves any bit of these schedules fails here, not only in the benchmark
+    @pytest.mark.parametrize(
+        "shape, overrides, digest",
+        [
+            (
+                (3, 12, 4),
+                dict(cold_start=True, soc_grid=32, action_grid=5),
+                "ed4e6a70b9406efabc01b9dd841725ef557a8fb30c8f7eee1afbb51a4e20b952",
+            ),
+            (
+                (2, 6, 5),
+                dict(soc_grid=24, action_grid=5, terminal_soc_min=6.0),
+                "7235735e993e843e76e210354480bea158a0b53ec7aedca771b4310767023b79",
+            ),
+        ],
+        ids=["3x12-seed4-cold", "2x6-seed5-terminal"],
+    )
+    def test_solved_schedules_are_pinned(self, shape, overrides, digest):
+        M, T, seed = shape
+        result = solve(synth_scenario(M, T, seed=seed), GameConfig(**overrides))
+        A = np.array([s.a for s in result.schedules], dtype=float)
+        E = np.array([s.e for s in result.schedules], dtype=float)
+        assert hashlib.sha256(A.tobytes() + E.tobytes()).hexdigest() == digest
