@@ -26,12 +26,17 @@ class TariffParams:
     generation: np.ndarray
 
     def __post_init__(self):
-        self.generation = np.asarray(self.generation, dtype=float)
+        # None stands for a series the scenario parser found mistyped and
+        # listed; validate() skips it
+        if self.generation is not None:
+            self.generation = np.asarray(self.generation, dtype=float)
 
     def validate(self, horizon: int) -> list:
         problems = []
         if not 0.0 < self.p0 < math.inf:
             problems.append("tariff.p0: must be finite and > 0, got %g" % self.p0)
+        if self.generation is None:
+            return problems
         if len(self.generation) != horizon:
             problems.append(
                 "tariff.generation: expected %d entries, got %d"

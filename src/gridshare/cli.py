@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 
 import click
@@ -213,6 +214,11 @@ def _read_result(doc, scenario):
 @click.option("--epsilon", default=None, type=float, help="override the run's epsilon")
 def certify(scenario_path, result_path, epsilon):
     """Rerun the solver's 2x finer best-response search on an emitted result."""
+    if epsilon is not None and not 0 < epsilon < math.inf:
+        click.echo(
+            "error: --epsilon must be finite and > 0, got %r" % epsilon, err=True
+        )
+        sys.exit(1)
     scenario = _load(scenario_path)
     try:
         with open(result_path) as fh:

@@ -61,14 +61,20 @@ class HouseholdProfile:
     initial_soc: float
 
     def __post_init__(self):
-        self.demand = np.asarray(self.demand, dtype=float)
-        self.re_output = np.asarray(self.re_output, dtype=float)
+        # None stands for a series the scenario parser found mistyped and
+        # listed; validate() skips it
+        if self.demand is not None:
+            self.demand = np.asarray(self.demand, dtype=float)
+        if self.re_output is not None:
+            self.re_output = np.asarray(self.re_output, dtype=float)
 
     def validate(self, horizon: int) -> list:
         """Return a list of human-readable invariant violations (maybe empty)."""
         problems = []
         prefix = "households[%s]" % self.id
         for name, series in (("demand", self.demand), ("re_output", self.re_output)):
+            if series is None:
+                continue
             if len(series) != horizon:
                 problems.append(
                     "%s.%s: expected %d entries, got %d"

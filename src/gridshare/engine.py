@@ -6,13 +6,14 @@ through the battery state-of-charge, so the inner solver is a dynamic
 program over a discretized SOC grid with per-stage candidate enumeration
 (region corners plus uniform samples), followed by iterated local
 refinement on shrinking grids so the returned schedule is accurate well
-below the convergence tolerance.  A taker's pool draw moves its load but
-not its SOC, so a taker stage minimizes the stage cost over the draws of
-each (state, action) first and steps the SOC and looks up the value once
-per action; rounding is monotone, so that minimum is the one over all
-pairs, bit for bit.  For tiny instances the candidate tree is enumerated
-exhaustively instead, which makes the solver bit-comparable to a
-brute-force oracle.
+below the convergence tolerance.  One stage kernel lays out and prices an
+interval's candidates as a (state, P, Q) block: a taker's battery actions
+along P and its pool draws along Q, a giver's offers along P and its grid
+charges along Q.  A draw moves the load but not the SOC, so a taker's SOC
+step and value lookup run once per (state, action).  The backward pass,
+the rollout and the exhaustive search all read that block.  For tiny
+instances the candidate tree is enumerated exhaustively instead, which
+makes the solver bit-comparable to a brute-force oracle.
 
 The outer loop repeats one Gauss-Seidel pass: households respond in fixed
 id order, each seeing the freshest schedules of the others, and a response
@@ -250,69 +251,6 @@ def _giver_charge_cap(env, s, d, phi_p, e):
     return np.maximum(a_cap, 0.0)
 
 
-def _taker_candidates(env, t, s, n_act, extra_a, extra_e):
-    """Taker candidates for every state in ``s``: a (n, NA), e (n, NA, NE).
-
-    Row ``i`` of ``e`` holds the draws that go with the action ``a[..., i]``.
-    """
-    d = float(env.d[t])
-    a_lo, a_hi = _taker_action_range(env, s, d, _phi_plus_vec(env, s))
-    fr = np.linspace(0.0, 1.0, n_act)
-    a = np.concatenate(
-        [
-            a_lo[:, None] + fr[None, :] * (a_hi - a_lo)[:, None],
-            np.zeros((len(s), 1)),
-            np.clip(extra_a[None, :], a_lo[:, None], a_hi[:, None]),
-        ],
-        axis=1,
-    )
-    e_lo = _taker_draw_floor(d, a, float(env.pool_avail[t]))[:, :, None]
-    e = np.concatenate(
-        [e_lo * (1.0 - fr[None, None, :]), np.clip(extra_e[None, None, :], e_lo, 0.0)],
-        axis=2,
-    )
-    return a, e
-
-
-def _giver_candidates(env, t, s, n_act, extra_a, extra_e):
-    """Giver candidates for every state in ``s``: e (n, NE), a (n, NE, NA).
-
-    Row ``i`` of ``a`` holds the grid charges that go with the offer ``e[..., i]``.
-    """
-    d = float(env.d[t])
-    phi_p = _phi_plus_vec(env, s)
-    e_lo, e_hi = _giver_offer_range(env, s, d, phi_p, float(env.min_offer[t]))
-    fr = np.linspace(0.0, 1.0, n_act)
-    e = np.concatenate(
-        [
-            e_lo[:, None] + fr[None, :] * (e_hi - e_lo)[:, None],
-            np.clip(extra_e[None, :], e_lo[:, None], e_hi),
-        ],
-        axis=1,
-    )
-    a_cap = _giver_charge_cap(env, s[:, None], d, phi_p[:, None], e)[:, :, None]
-    a = np.concatenate(
-        [a_cap * fr[None, None, :], np.clip(extra_a[None, None, :], 0.0, a_cap)],
-        axis=2,
-    )
-    return e, a
-
-
-def _flat(outer, inner):
-    """(n, P*Q) arrays of an outer (n, P) and an inner (n, P, Q) candidate block."""
-    n = len(inner)
-    outer = np.broadcast_to(outer[:, :, None], inner.shape)
-    return outer.reshape(n, -1), inner.reshape(n, -1)
-
-
-def _candidates(env, t, s, n_act, extra_a, extra_e):
-    """Every candidate (a, e) pair as two (n, K) arrays, one row per state."""
-    if env.taker[t]:
-        return _flat(*_taker_candidates(env, t, s, n_act, extra_a, extra_e))
-    e, a = _flat(*_giver_candidates(env, t, s, n_act, extra_a, extra_e))
-    return a, e
-
-
 def _transition(env, t, s, a, e):
     """Next SOC from ``s`` under (a, e); mirrors the scalar battery updates.
 
@@ -335,15 +273,60 @@ def _transition(env, t, s, a, e):
     return np.clip(nxt, env.s_min, env.s_max)
 
 
-def _stage_cost(env, t, loads):
-    gap = loads + (float(env.l_others[t]) - float(env.g[t]))
-    return loads * (gap * gap + env.p0)
+def _stage(env, t, s, n_act, extra_a, extra_e):
+    """Interval ``t``'s candidates, priced, for every state in ``s``.
 
-
-def _loads_of(env, t, a, e):
+    Returns (a, e, cost, nxt): the region samples plus the clipped extras,
+    each pair's stage cost and its next SOC, as arrays that broadcast to
+    one (n, P, Q) block.  A taker's actions run along P and its draws along
+    Q; a draw moves the load but never the SOC, so ``nxt`` is (n, P, 1).  A
+    giver's offers run along P and its grid charges along Q.
+    """
+    d = float(env.d[t])
+    s = s[:, None, None]
+    phi_p = _phi_plus_vec(env, s)
+    fr = np.linspace(0.0, 1.0, n_act)
+    along_p, along_q = fr[None, :, None], fr[None, None, :]
     if env.taker[t]:
-        return float(env.d[t]) + a + e
-    return a
+        a_lo, a_hi = _taker_action_range(env, s, d, phi_p)
+        a = np.concatenate(
+            [
+                a_lo + along_p * (a_hi - a_lo),
+                np.zeros((len(s), 1, 1)),
+                np.clip(extra_a[None, :, None], a_lo, a_hi),
+            ],
+            axis=1,
+        )
+        e_lo = _taker_draw_floor(d, a, float(env.pool_avail[t]))
+        e = np.concatenate(
+            [e_lo * (1.0 - along_q), np.clip(extra_e[None, None, :], e_lo, 0.0)],
+            axis=2,
+        )
+        loads = d + a + e
+    else:
+        e_lo, e_hi = _giver_offer_range(env, s, d, phi_p, float(env.min_offer[t]))
+        e = np.concatenate(
+            [
+                e_lo + along_p * (e_hi - e_lo),
+                np.clip(extra_e[None, :, None], e_lo, e_hi),
+            ],
+            axis=1,
+        )
+        a_cap = _giver_charge_cap(env, s, d, phi_p, e)
+        a = np.concatenate(
+            [a_cap * along_q, np.clip(extra_a[None, None, :], 0.0, a_cap)], axis=2
+        )
+        loads = a
+    gap = loads + (float(env.l_others[t]) - float(env.g[t]))
+    return a, e, loads * (gap * gap + env.p0), _transition(env, t, s, a, e)
+
+
+def _pairs(shape, *blocks):
+    """One state's ``blocks`` as flat arrays, each broadcast to ``shape``.
+
+    The order is the block's: action-major for takers, offer-major for givers.
+    """
+    return [np.broadcast_to(x, shape).ravel() for x in blocks]
 
 
 def _bill_of(env: _Env, a: np.ndarray, e: np.ndarray) -> float:
@@ -390,11 +373,12 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     Interval t's candidates are the region samples plus ``extras_a[t]`` and
     ``extras_e[t]``; a successor SOC takes the value of its nearest cell.
 
-    A taker's pool draw moves its load but never its SOC, so a taker stage
-    is priced per (state, action): the stage cost is minimized over the
-    draws first, and the SOC step and the value lookup run once per action.
-    That minimum is the flat one bit for bit, since rounding is monotone:
-    min_e fl(c_e + v) == fl(min_e c_e + v), also when v is inf.
+    Each stage is one (state, P, Q) block from :func:`_stage`.  A taker's
+    ``nxt`` is per (state, action), so its SOC step and value lookup run
+    once per action and the value is added to every draw of that action.
+    The block minimum equals the minimum over each action's cheapest draw,
+    bit for bit, since rounding is monotone: min_e fl(c_e + v) ==
+    fl(min_e c_e + v), also when v is inf.
     """
     horizon = env.horizon
     values = [None] * (horizon + 1)
@@ -406,26 +390,18 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     for t in range(horizon - 1, 0, -1):
         # a stage's arrays stay bound until the next stage has built its own:
         # freed at once, they let malloc trim the heap, and regrowing it took
-        # a flagship solve from 0.82M to 1.85M minor page faults
-        s = grids[t]
-        if env.taker[t]:
-            a, e = _taker_candidates(env, t, s, n_act, extras_a[t], extras_e[t])
-            cost = _stage_cost(env, t, _loads_of(env, t, a[:, :, None], e)).min(axis=2)
-        else:
-            a, e = _candidates(env, t, s, n_act, extras_a[t], extras_e[t])
-            cost = _stage_cost(env, t, _loads_of(env, t, a, e))
-        nxt = _transition(env, t, s[:, None], a, e)
-        values[t] = (cost + value_after(t, nxt)).min(axis=1)
+        # a flagship solve from 0.34M to 2.05M minor page faults
+        a, e, cost, nxt = _stage(env, t, grids[t], n_act, extras_a[t], extras_e[t])
+        cost += value_after(t, nxt)
+        values[t] = cost.reshape(len(cost), -1).min(axis=1)
 
     a_out = np.zeros(horizon)
     e_out = np.zeros(horizon)
     s = env.s0
     for t in range(horizon):
-        a, e = _candidates(env, t, np.array([s]), n_act, extras_a[t], extras_e[t])
-        a, e = a[0], e[0]
-        cost = _stage_cost(env, t, _loads_of(env, t, a, e))
-        nxt = _transition(env, t, s, a, e)
-        total = cost + value_after(t, nxt)
+        a, e, cost, nxt = _stage(env, t, np.array([s]), n_act, extras_a[t], extras_e[t])
+        cost += value_after(t, nxt)
+        a, e, nxt, total = _pairs(cost.shape, a, e, nxt, cost)
         if not np.isfinite(total).any():
             raise InfeasibleConfigError(
                 "terminal_soc_min %g unreachable from SOC %g at t=%d"
@@ -477,10 +453,8 @@ def _exact_best(env: _Env, n_act: int):
     def rec(t, s):
         if t == horizon:
             return float(_terminal_values(env, np.array([s]))[0]), [], []
-        a, e = _candidates(env, t, np.array([s]), n_act, no_extras, no_extras)
-        a, e = a[0], e[0]
-        cost = _stage_cost(env, t, _loads_of(env, t, a, e))
-        nxt = _transition(env, t, s, a, e)
+        a, e, cost, nxt = _stage(env, t, np.array([s]), n_act, no_extras, no_extras)
+        a, e, cost, nxt = _pairs(cost.shape, a, e, cost, nxt)
         best = (math.inf, [], [])
         for k in range(len(a)):
             sub_cost, sub_a, sub_e = rec(t + 1, float(nxt[k]))

@@ -146,12 +146,15 @@ def _number(value, path, problems, fallback):
     return fallback
 
 
-def _series(value, path, problems, horizon):
-    """``value`` as a float array; else list a violation, return T zeros."""
+def _series(value, path, problems):
+    """``value`` as a float array; else list a violation and return None.
+
+    The model checks skip a None series, so it is listed once, and the
+    stand-in costs nothing however large T is.
+    """
     array = number_series(value)
     if array is None:
         problems.append("%s: must be a list of numbers, got %s" % (path, _brief(value)))
-        return np.zeros(horizon)
     return array
 
 
@@ -174,19 +177,15 @@ def _battery_from_dict(data, path: str, problems: list):
         return None
 
 
-def _household_from_dict(
-    hdata: dict, i: int, horizon: int, problems: list
-) -> HouseholdProfile:
+def _household_from_dict(hdata: dict, i: int, problems: list) -> HouseholdProfile:
     path = "households[%d]" % i
     battery = _battery_from_dict(hdata.get("battery", {}), path + ".battery", problems)
     if battery is None:
         battery = residential_battery()
     return HouseholdProfile(
         id=str(hdata.get("id", i)),
-        demand=_series(hdata.get("demand", []), path + ".demand", problems, horizon),
-        re_output=_series(
-            hdata.get("re_output", []), path + ".re_output", problems, horizon
-        ),
+        demand=_series(hdata.get("demand", []), path + ".demand", problems),
+        re_output=_series(hdata.get("re_output", []), path + ".re_output", problems),
         battery=battery,
         initial_soc=_number(
             hdata.get("initial_soc", battery.s_min),
@@ -202,7 +201,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     Collects every violation before raising, so a bad file is reported in
     one pass.  A field of the wrong type is listed and replaced by a
-    harmless stand-in, so the remaining checks still run.
+    harmless stand-in (None for a series), so the remaining checks still run.
     """
     problems = []
     if not isinstance(data, dict):
@@ -223,7 +222,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     tariff = TariffParams(
         p0=_number(tariff_data.get("p0", 0.0), "tariff.p0", problems, 1.0),
         generation=_series(
-            tariff_data.get("generation", []), "tariff.generation", problems, horizon
+            tariff_data.get("generation", []), "tariff.generation", problems
         ),
     )
     entries = data.get("households") or []
@@ -233,7 +232,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     households = []
     for i, hdata in enumerate(entries):
         if isinstance(hdata, dict):
-            households.append(_household_from_dict(hdata, i, horizon, problems))
+            households.append(_household_from_dict(hdata, i, problems))
         else:
             problems.append(
                 "households[%d]: must be a mapping, got %s" % (i, _brief(hdata))

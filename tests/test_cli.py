@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from gridshare import GameConfig
@@ -57,6 +58,20 @@ class TestSynthAndCheck:
         assert result.exit_code == 1
         assert "eta_inv" in result.output
         assert "p0" in result.output
+
+    def test_mistyped_series_is_listed_once_at_any_horizon(self, runner, tmp_path):
+        # numpy refuses a 10**15-entry array at once, so a stand-in that grew
+        # with T fails fast here instead of touching memory
+        path = synth_file(runner, tmp_path / "scen.yaml")
+        doc = yaml.safe_load(path.read_text())
+        doc["T"] = 10**15
+        doc["households"][0]["demand"] = "x"
+        path.write_text(yaml.safe_dump(doc))
+        result = runner.invoke(main, ["check", "--scenario", str(path)])
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert sum("[0].demand" in s or "[h1].demand" in s for s in lines) == 1, lines
 
     def test_missing_file_is_input_error(self, runner, tmp_path):
         result = runner.invoke(
@@ -237,10 +252,10 @@ def _baseline_result(runner, tmp_path, **synth):
     return scen, doc, tmp_path / "result.json"
 
 
-def _certify(runner, scen, doc, path):
+def _certify(runner, scen, doc, path, *flags):
     path.write_text(json.dumps(doc))
     return runner.invoke(
-        main, ["certify", "--scenario", str(scen), "--result", str(path)]
+        main, ["certify", "--scenario", str(scen), "--result", str(path), *flags]
     )
 
 
@@ -278,6 +293,15 @@ def test_certify_rejects_bad_result_document(runner, baseline_result, corrupt):
     assert result.exit_code == 1, result.output
     assert "error:" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "-1", "0"])
+def test_certify_rejects_bad_epsilon_override(runner, baseline_result, epsilon):
+    # the override gets the range check of a run's own epsilon
+    result = _certify(runner, *baseline_result, "--epsilon", epsilon)
+    assert result.exit_code == 1, result.output
+    assert "error:" in result.output
+    assert "certified" not in result.output and "FAIL" not in result.output
 
 
 def test_certify_rejects_charge_above_rate_limit(runner, tmp_path):

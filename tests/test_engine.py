@@ -21,14 +21,12 @@ from gridshare import (
 from gridshare.engine import (
     _build_env,
     _build_problem,
-    _candidates,
     _dp,
     _exhaustive,
-    _loads_of,
     _local_grids,
     _nearest_idx,
     _soc_trajectory,
-    _stage_cost,
+    _stage,
     _terminal_values,
     _transition,
     _uniform_grid,
@@ -447,8 +445,13 @@ def flat_dp(env, grids, n_act, extras_a, extras_e):
     values[horizon] = _terminal_values(env, grids[horizon])
 
     def totals(t, s):
-        a, e = _candidates(env, t, s, n_act, extras_a[t], extras_e[t])
-        cost = _stage_cost(env, t, _loads_of(env, t, a, e))
+        # flatten the stage block into (state, pair) rows and step every pair
+        # itself, so a taker's per-action nxt is not trusted here
+        a, e, cost, _ = _stage(env, t, s, n_act, extras_a[t], extras_e[t])
+        block = cost.shape
+        a, e, cost = (
+            np.broadcast_to(x, block).reshape(len(s), -1) for x in (a, e, cost)
+        )
         nxt = _transition(env, t, s[:, None], a, e)
         return a, e, nxt, cost + values[t + 1][_nearest_idx(grids[t + 1], nxt)]
 
@@ -523,8 +526,16 @@ class TestGoldenSchedules:
                 dict(soc_grid=24, action_grid=5, terminal_soc_min=6.0),
                 "7235735e993e843e76e210354480bea158a0b53ec7aedca771b4310767023b79",
             ),
+            (
+                # a taker here keeps a pool draw the exact per-interval draw
+                # scan (bench/checks.draw_gains) beats by 2.8e-5, so the
+                # digest pins the sampled draw axis, not only its ends
+                (3, 8, 1),
+                dict(soc_grid=24, action_grid=5),
+                "3030064e5e095c426a7eb80050ba40783c0c71298bd63917f0ad7610b32e7ab8",
+            ),
         ],
-        ids=["3x12-seed4-cold", "2x6-seed5-terminal"],
+        ids=["3x12-seed4-cold", "2x6-seed5-terminal", "3x8-seed1-draw"],
     )
     def test_solved_schedules_are_pinned(self, shape, overrides, digest):
         M, T, seed = shape
