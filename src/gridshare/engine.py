@@ -10,10 +10,12 @@ below the convergence tolerance.  One stage kernel lays out and prices an
 interval's candidates as a (state, P, Q) block: a taker's battery actions
 along P and its pool draws along Q, a giver's offers along P and its grid
 charges along Q.  A draw moves the load but not the SOC, so a taker's SOC
-step and value lookup run once per (state, action).  The backward pass,
-the rollout and the exhaustive search all read that block.  For tiny
-instances the candidate tree is enumerated exhaustively instead, which
-makes the solver bit-comparable to a brute-force oracle.
+step and value lookup run once per (state, action).  The backward pass
+and the rollout both read that block.  For tiny instances the search is
+exhaustive: the same DP runs on the exact SOCs the candidate tree reaches
+at each interval, so no lookup rounds and the bill equals a brute-force
+oracle's exactly.  Equal bills are split by the rollout's rule (cost, then
+|a|, |e|, SOC), not by the oracle's enumeration order.
 
 The outer loop repeats one Gauss-Seidel pass: households respond in fixed
 id order, each seeing the freshest schedules of the others, and a response
@@ -321,14 +323,6 @@ def _stage(env, t, s, n_act, extra_a, extra_e):
     return a, e, loads * (gap * gap + env.p0), _transition(env, t, s, a, e)
 
 
-def _pairs(shape, *blocks):
-    """One state's ``blocks`` as flat arrays, each broadcast to ``shape``.
-
-    The order is the block's: action-major for takers, offer-major for givers.
-    """
-    return [np.broadcast_to(x, shape).ravel() for x in blocks]
-
-
 def _bill_of(env: _Env, a: np.ndarray, e: np.ndarray) -> float:
     """Exact daily bill of a schedule against the frozen others."""
     loads = np.where(env.taker, env.d + a + e, a)
@@ -401,7 +395,10 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     for t in range(horizon):
         a, e, cost, nxt = _stage(env, t, np.array([s]), n_act, extras_a[t], extras_e[t])
         cost += value_after(t, nxt)
-        a, e, nxt, total = _pairs(cost.shape, a, e, nxt, cost)
+        # one state's pairs, flat: action-major for takers, offer-major for givers
+        a, e, nxt, total = (
+            np.broadcast_to(x, cost.shape).ravel() for x in (a, e, nxt, cost)
+        )
         if not np.isfinite(total).any():
             raise InfeasibleConfigError(
                 "terminal_soc_min %g unreachable from SOC %g at t=%d"
@@ -413,6 +410,24 @@ def _dp(env, grids, n_act, extras_a, extras_e):
         e_out[t] = e[best]
         s = float(nxt[best])
     return a_out, e_out
+
+
+def _exhaustive(taker: np.ndarray, n_act: int, cap: int) -> bool:
+    """Whether a household's exhaustive candidate tree has at most ``cap`` leaves."""
+    return math.prod((n_act + 1) * n_act if t else n_act * n_act for t in taker) <= cap
+
+
+def _reachable_grids(env: _Env, n_act: int) -> list:
+    """Every SOC the candidate tree reaches, per interval, from the exact s0.
+
+    Each successor is a cell of the next grid, so the DP on these grids is
+    the exhaustive search with no nearest-cell rounding.
+    """
+    none = np.zeros(0)
+    grids = [np.array([env.s0])]
+    for t in range(env.horizon):
+        grids.append(np.unique(_stage(env, t, grids[t], n_act, none, none)[3]))
+    return grids
 
 
 def _uniform_grid(env: _Env, n: int) -> np.ndarray:
@@ -437,57 +452,23 @@ def _local_grids(env: _Env, soc_traj: np.ndarray, n: int, sigma: float):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration for tiny instances
-
-
-def _exhaustive(taker: np.ndarray, n_act: int, cap: int) -> bool:
-    """Whether a household's exhaustive candidate tree has at most ``cap`` leaves."""
-    return math.prod((n_act + 1) * n_act if t else n_act * n_act for t in taker) <= cap
-
-
-def _exact_best(env: _Env, n_act: int):
-    """Exhaustive search over the discretized candidate tree, exact SOC."""
-    horizon = env.horizon
-    no_extras = np.zeros(0)
-
-    def rec(t, s):
-        if t == horizon:
-            return float(_terminal_values(env, np.array([s]))[0]), [], []
-        a, e, cost, nxt = _stage(env, t, np.array([s]), n_act, no_extras, no_extras)
-        a, e, cost, nxt = _pairs(cost.shape, a, e, cost, nxt)
-        best = (math.inf, [], [])
-        for k in range(len(a)):
-            sub_cost, sub_a, sub_e = rec(t + 1, float(nxt[k]))
-            total = float(cost[k]) + sub_cost
-            if total < best[0]:
-                best = (total, [float(a[k])] + sub_a, [float(e[k])] + sub_e)
-        return best
-
-    total, a_seq, e_seq = rec(0, env.s0)
-    if not math.isfinite(total):
-        raise InfeasibleConfigError(
-            "terminal_soc_min %g unreachable" % env.terminal_min
-        )
-    return np.array(a_seq), np.array(e_seq)
-
-
-# ---------------------------------------------------------------------------
 # best response, Gauss-Seidel passes and the outer loop
 
 
 def _respond(problem, A, E, m, config):
     """Household ``m``'s best response on ``config``'s grids: (a, e, gain >= 0).
 
-    Exhaustive when the candidate tree fits ``exact_cap``, else DP rounds on
-    grids that shrink around the best schedule so far.  Only a lower bill
-    replaces the incumbent.
+    When the candidate tree fits ``exact_cap``, one DP on the reachable SOC
+    sets, which is exhaustive; else DP rounds on grids that shrink around
+    the best schedule so far.  Only a lower bill replaces the incumbent.
     """
     env = _build_env(problem, A, E, m, config.terminal_soc_min)
     n_act = config.action_grid
     best_a, best_e = A[m], E[m]
     old_bill = best_bill = _bill_of(env, best_a, best_e)
     if _exhaustive(env.taker, n_act, config.exact_cap):
-        a, e = _exact_best(env, n_act)
+        none = np.zeros((env.horizon, 0))
+        a, e = _dp(env, _reachable_grids(env, n_act), n_act, none, none)
         bill = _bill_of(env, a, e)
         if bill < best_bill:
             best_a, best_e, best_bill = a, e, bill

@@ -305,10 +305,13 @@ def synth_scenario(
     utility generation curve has a midday hump scaled so its total matches
     ``generation_ratio`` times the community's positive net demand.
     """
+    problems = []
     if n_households < 1 or horizon < 2:
-        raise ScenarioValidationError(
-            ["synth requires at least 1 household and 2 intervals"]
-        )
+        problems.append("synth requires at least 1 household and 2 intervals")
+    if seed < 0:
+        problems.append("synth seed must be >= 0, got %d" % seed)
+    if problems:
+        raise ScenarioValidationError(problems)
     shape = shape or SynthShape()
     rng = np.random.default_rng(seed)
     dt = 24.0 / horizon

@@ -73,6 +73,18 @@ class TestSynthAndCheck:
         lines = result.output.splitlines()
         assert sum("[0].demand" in s or "[h1].demand" in s for s in lines) == 1, lines
 
+    def test_negative_synth_seed_is_input_error(self, runner, tmp_path):
+        path = tmp_path / "scen.yaml"
+        result = runner.invoke(
+            main, ["synth", "--seed", "-1", "--out", str(path)]
+        )
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert [s for s in result.output.splitlines() if s.startswith("error:")] == [
+            "error: synth seed must be >= 0, got -1"
+        ]
+        assert not path.exists()
+
     def test_missing_file_is_input_error(self, runner, tmp_path):
         result = runner.invoke(
             main, ["check", "--scenario", str(tmp_path / "nope.yaml")]
@@ -143,6 +155,30 @@ class TestSolveCommand:
         assert result.exit_code == 0
         doc = json.loads((out / "result.json").read_text())
         assert doc["game"] is None
+
+    @pytest.mark.parametrize(
+        "shape, grids",
+        [((2, 2, 1), ("5", "5")), ((2, 6, 5), ("24", "5"))],
+        ids=["exhaustive", "dp"],
+    )
+    def test_unreachable_terminal_soc_is_input_error(
+        self, runner, tmp_path, shape, grids
+    ):
+        M, T, seed = shape
+        scen = synth_file(
+            runner, tmp_path / "scen.yaml", households=M, intervals=T, seed=seed
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["solve", "--scenario", str(scen), "--out", str(out)]
+            + ["--soc-grid", grids[0], "--action-grid", grids[1]]
+            + ["--terminal-soc-min", "100"],
+        )
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error: terminal_soc_min 100 unreachable" in result.output
+        assert not (out / "result.json").exists()
 
     def test_nonconverged_exits_two_with_complete_report(self, runner, tmp_path):
         scen = synth_file(runner, tmp_path / "scen.yaml", households=3, intervals=8, seed=0)

@@ -19,12 +19,15 @@ from gridshare import (
     synth_scenario,
 )
 from gridshare.engine import (
+    _bill_of,
     _build_env,
     _build_problem,
     _dp,
     _exhaustive,
     _local_grids,
+    _matrices,
     _nearest_idx,
+    _reachable_grids,
     _soc_trajectory,
     _stage,
     _terminal_values,
@@ -508,6 +511,106 @@ class TestStageReduction:
             seen["giver"] += int((~env.taker).sum())
             seen["inf"] += int(any(np.isinf(v).any() for v in values[1:]))
         assert min(seen.values()) > 0, seen
+
+
+def dfs_best(env, n_act):
+    """Reference exhaustive search: depth first over the candidate tree.
+
+    Propagates the exact SOC and keeps the first of equal totals in block
+    order, so exact bill ties may resolve differently from the DP rollout.
+    """
+    horizon = env.horizon
+    none = np.zeros(0)
+
+    def rec(t, s):
+        if t == horizon:
+            return float(_terminal_values(env, np.array([s]))[0]), [], []
+        a, e, cost, nxt = _stage(env, t, np.array([s]), n_act, none, none)
+        a, e, cost, nxt = (
+            np.broadcast_to(x, cost.shape).ravel() for x in (a, e, cost, nxt)
+        )
+        best = (math.inf, [], [])
+        for k in range(len(a)):
+            sub_cost, sub_a, sub_e = rec(t + 1, float(nxt[k]))
+            total = float(cost[k]) + sub_cost
+            if total < best[0]:
+                best = (total, [float(a[k])] + sub_a, [float(e[k])] + sub_e)
+        return best
+
+    total, a_seq, e_seq = rec(0, env.s0)
+    if not math.isfinite(total):
+        raise InfeasibleConfigError("unreachable")
+    return np.array(a_seq), np.array(e_seq)
+
+
+def exhaustive_dp(env, n_act):
+    none = np.zeros((env.horizon, 0))
+    return _dp(env, _reachable_grids(env, n_act), n_act, none, none)
+
+
+class TestExhaustiveSearch:
+    def test_dp_on_reachable_grids_matches_dfs_reference(self):
+        # every successor SOC is a cell of the next reachable grid, so the DP
+        # finds the DFS optimum exactly; only exact bill ties may differ
+        rng = np.random.default_rng(7)
+        cap = GameConfig().exact_cap
+        seen = {"taker": 0, "giver": 0, "floor": 0, "infeasible": 0}
+        cases = ties = 0
+        while cases < 200:
+            M, T = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+            scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
+            A, E = initial_state(scenario, GameConfig(seed=cases))
+            m = int(rng.integers(0, M))
+            n_act = int(rng.integers(3, 7))
+            terminal = None
+            if cases % 4 == 0:
+                bat = scenario.households[m].battery
+                terminal = bat.s_min + rng.uniform(0.2, 1.1) * (bat.s_max - bat.s_min)
+            env = _build_env(_build_problem(scenario), A, E, m, terminal)
+            if not _exhaustive(env.taker, n_act, cap):
+                continue
+            cases += 1
+            seen["taker"] += int(env.taker.sum())
+            seen["giver"] += int((~env.taker).sum())
+            try:
+                ref_a, ref_e = dfs_best(env, n_act)
+            except InfeasibleConfigError:
+                with pytest.raises(InfeasibleConfigError):
+                    exhaustive_dp(env, n_act)
+                seen["infeasible"] += 1
+                continue
+            seen["floor"] += terminal is not None
+            a, e = exhaustive_dp(env, n_act)
+            assert _bill_of(env, a, e) == _bill_of(env, ref_a, ref_e), cases
+            # a schedule that differs at an equal bill is an exact tie
+            ties += not (np.array_equal(a, ref_a) and np.array_equal(e, ref_e))
+        assert min(seen.values()) > 0, seen
+        assert ties <= cases // 20, ties
+
+    def test_one_cell_level_and_tie_rule(self):
+        # h1 starts full and gives at t=0: its one offer leaves a single
+        # reachable SOC at level 1, whose lookup reads index -1 of a one-cell
+        # grid.  h2 covers its 1 kWh taker demand at a bill of 0 either by
+        # discharging or from the pool; the rollout's tie rule (cost, then
+        # |a|, |e|, SOC) takes the draw, the DFS the first-listed discharge
+        scenario = make_scenario(
+            demands=[[0.0, 0.0], [1.0, 0.0]],
+            re_outputs=[[2.0, 0.0], [0.0, 0.0]],
+            generation=[1.0, 1.0],
+            initial_socs=[13.5, 7.0],
+        )
+        config = GameConfig(soc_grid=5, action_grid=4, seed=0)
+        result = solve(scenario, config)
+        assert result.converged and result.bills == [0.0, 0.0]
+        A, E = _matrices(result.schedules)
+        problem = _build_problem(scenario)
+        h1 = _build_env(problem, A, E, 0, None)
+        assert len(_reachable_grids(h1, config.action_grid)[1]) == 1
+        assert (A[1, 0], E[1, 0]) == (0.0, -1.0)
+        h2 = _build_env(problem, A, E, 1, None)
+        ref_a, ref_e = dfs_best(h2, config.action_grid)
+        assert (ref_a[0], ref_e[0]) == (-1.0, 0.0)
+        assert _bill_of(h2, ref_a, ref_e) == _bill_of(h2, A[1], E[1]) == 0.0
 
 
 class TestGoldenSchedules:
