@@ -2,8 +2,10 @@
 
 Subcommands: ``synth`` (generate a scenario file), ``check`` (validate
 only), ``solve`` (baseline + game + emission), ``certify`` (replay an
-emitted result and rerun the solver's own 2x finer best-response search,
-which is the search that certified it, not an independent check).
+emitted result and rerun the solver's own check search, which is the
+search that certified it: exhaustive on the game's grids when every
+household's candidate tree fits ``exact_cap``, else on 2x finer grids, so
+in grid mode it is not an independent check).
 
 Exit codes: 0 success / converged, 2 non-converged (report still written,
 or certification failed), 1 input error.
@@ -213,7 +215,7 @@ def _read_result(doc, scenario):
 @click.option("--result", "result_path", required=True, type=click.Path())
 @click.option("--epsilon", default=None, type=float, help="override the run's epsilon")
 def certify(scenario_path, result_path, epsilon):
-    """Rerun the solver's 2x finer best-response search on an emitted result."""
+    """Rerun the solver's check search on an emitted result."""
     if epsilon is not None and not 0 < epsilon < math.inf:
         click.echo(
             "error: --epsilon must be finite and > 0, got %r" % epsilon, err=True

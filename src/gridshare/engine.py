@@ -20,10 +20,14 @@ oracle's exactly.  Equal bills are split by the rollout's rule (cost, then
 The outer loop repeats one Gauss-Seidel pass: households respond in fixed
 id order, each seeing the freshest schedules of the others, and a response
 is adopted only when it lowers the bill by more than a threshold.  Coarse
-sweeps adopt every drop until none exceeds epsilon.  Then passes on 2x finer
-grids adopt drops above epsilon / 4 (none in exact mode); the first pass
-that adopts nothing certifies the state.  So the certificate is the same 2x
-search that polished the state, not an independent check.
+sweeps adopt every drop until none exceeds epsilon.  Then passes on the
+check grids adopt drops above epsilon / 4, and the first pass that adopts
+nothing certifies the state; a state whose sweeps did not settle is
+measured by one such pass that adopts nothing.  The check grids are the
+game's own in exact mode (every household's tree fits ``exact_cap``), where
+the search is exact, and 2x finer grids otherwise.  So in grid mode the
+certificate is the same 2x search that polished the state, not an
+independent check.
 """
 
 from __future__ import annotations
@@ -79,7 +83,11 @@ class GameConfig:
 
 @dataclass
 class EquilibriumResult:
-    """Outcome of :func:`solve`, fully re-derivable from the schedules."""
+    """Outcome of :func:`solve`, fully re-derivable from the schedules.
+
+    ``deviation_gains`` are the last check pass's gains, measured on the
+    grids :func:`deviation_gain` uses.
+    """
 
     schedules: list
     bills: list
@@ -519,13 +527,16 @@ def _matrices(schedules):
     return np.array([s.a for s in schedules]), np.array([s.e for s in schedules])
 
 
-def _fine_config(config: GameConfig) -> GameConfig:
-    return replace(
-        config,
-        soc_grid=config.soc_grid * 2,
-        action_grid=config.action_grid * 2,
-        exact_cap=config.exact_cap * 4,
-    )
+def _check_config(problem: _Problem, config: GameConfig) -> GameConfig:
+    """The config whose grids check a state of the game played on ``config``.
+
+    The game's own grids when every household's candidate tree fits
+    ``exact_cap``, since that search is exact; else 2x finer grids.
+    """
+    n_act = config.action_grid
+    if all(_exhaustive(t, n_act, config.exact_cap) for t in problem.taker):
+        return config
+    return replace(config, soc_grid=config.soc_grid * 2, action_grid=n_act * 2)
 
 
 def best_response(
@@ -546,12 +557,15 @@ def deviation_gain(
     m: int,
     config: GameConfig,
 ) -> float:
-    """Best unilateral improvement for ``m``, found on 2x finer grids.
+    """Best unilateral improvement for ``m``, found on the check grids.
 
-    Non-negative by construction: the current schedule seeds the search.
+    Those are the grids :func:`solve` certifies on: the game's own in exact
+    mode, 2x finer ones otherwise.  Non-negative by construction: the
+    current schedule seeds the search.
     """
+    problem = _build_problem(scenario)
     A, E = _matrices(schedules)
-    return _respond(_build_problem(scenario), A, E, m, _fine_config(config))[2]
+    return _respond(problem, A, E, m, _check_config(problem, config))[2]
 
 
 def sweep(scenario: Scenario, schedules: list, config: GameConfig):
@@ -616,13 +630,13 @@ def _state_hash(A, E) -> str:
 def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
     """Iterated best response from a seeded start, with certification.
 
-    Deterministic for a fixed (scenario, config).  Non-convergence (cycle
-    or sweep budget exhausted) is reported, not raised: the result carries
-    converged=False plus the certified deviation gains of the better of
-    the last two states.
+    Deterministic for a fixed (scenario, config).  Non-convergence (cycle,
+    sweep budget exhausted, or a certificate not reached in 10 check
+    passes) is reported, not raised: the result carries converged=False
+    plus the deviation gains of the final state, measured on the check
+    grids.
     """
     problem = _build_problem(scenario)
-    fine = _fine_config(config)
     A, E = initial_state(scenario, config)
     seen = {_state_hash(A, E)}
     log = []
@@ -630,7 +644,6 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
     cycle = False
     sweeps_used = 0
     for _ in range(config.max_sweeps):
-        previous = (A.copy(), E.copy())
         max_drop = max(_pass(problem, A, E, config, 0.0))
         sweeps_used += 1
         log.append({"sweep": sweeps_used, "max_bill_drop": max_drop})
@@ -643,34 +656,20 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
             break
         seen.add(h)
 
-    if converged_sweeps:
-        # In exact mode the sweep fixed point is the exact equilibrium of the
-        # discretized game, so the fine passes only measure; else they polish.
-        exact_mode = all(
-            _exhaustive(taker, config.action_grid, config.exact_cap)
-            for taker in problem.taker
+    # Converged sweeps are polished then certified: a pass adopts drops
+    # above epsilon / 4, and the first pass that adopts nothing certifies.
+    # Any other state is measured once, without adopting.
+    check = _check_config(problem, config)
+    adopt_above = config.epsilon * 0.25 if converged_sweeps else math.inf
+    for _ in range(10):
+        gains = _pass(problem, A, E, check, adopt_above)
+        log.append(
+            {"sweep": len(log) + 1, "max_bill_drop": max(gains), "certification": True}
         )
-        adopt_above = math.inf if exact_mode else config.epsilon * 0.25
-        for _ in range(10):
-            gains = _pass(problem, A, E, fine, adopt_above)
-            log.append(
-                {
-                    "sweep": len(log) + 1,
-                    "max_bill_drop": max(gains),
-                    "certification": True,
-                }
-            )
-            if max(gains) <= adopt_above:
-                break
-        else:
-            converged_sweeps = False
+        if max(gains) <= adopt_above:
+            break
     else:
-        # keep whichever of the last two states has the smaller worst gain
-        measured = [
-            (state, _pass(problem, *state, fine, math.inf))
-            for state in (previous, (A, E))
-        ]
-        (A, E), gains = min(measured, key=lambda item: max(item[1]))
+        converged_sweeps = False
     schedules = [Schedule(a, e) for a, e in zip(A, E)]
 
     max_gain = max(gains)

@@ -288,6 +288,11 @@ class SynthShape:
     p0: float = 0.01
 
 
+# largest n_households * horizon that synth_scenario generates; checked
+# before anything is allocated
+_SYNTH_MAX_CELLS = 10**7
+
+
 def _gauss(hours, center, width):
     return np.exp(-0.5 * ((hours - center) / width) ** 2)
 
@@ -310,6 +315,11 @@ def synth_scenario(
         problems.append("synth requires at least 1 household and 2 intervals")
     if seed < 0:
         problems.append("synth seed must be >= 0, got %d" % seed)
+    if n_households * horizon > _SYNTH_MAX_CELLS:
+        problems.append(
+            "synth size M*T must be <= %d, got %d*%d"
+            % (_SYNTH_MAX_CELLS, n_households, horizon)
+        )
     if problems:
         raise ScenarioValidationError(problems)
     shape = shape or SynthShape()

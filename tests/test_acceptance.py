@@ -72,7 +72,7 @@ def test_criterion_1_equilibrium_certificate(flagship, capsys):
         capsys,
         1,
         ok,
-        "converged=%s, max independent deviation gain %.3g (eps=%g), solve %.1fs"
+        "converged=%s, max deviation gain on the check grids %.3g (eps=%g), solve %.1fs"
         % (result.converged, max(gains), config.epsilon, elapsed),
     )
 

@@ -85,6 +85,23 @@ class TestSynthAndCheck:
         ]
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["-T", "100000000000"], ["-M", "100000000000"]], ids=["T", "M"]
+    )
+    def test_huge_synth_size_is_input_error(self, runner, tmp_path, monkeypatch, flags):
+        # the size check must come before the generator touches numpy
+        def no_rng(*args):
+            raise AssertionError("synth_scenario allocated before its size check")
+
+        monkeypatch.setattr("numpy.random.default_rng", no_rng)
+        path = tmp_path / "scen.yaml"
+        result = runner.invoke(main, ["synth", *flags, "--out", str(path)])
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        errors = [s for s in result.output.splitlines() if s.startswith("error:")]
+        assert len(errors) == 1 and "synth size M*T must be <= 10000000" in errors[0]
+        assert not path.exists()
+
     def test_missing_file_is_input_error(self, runner, tmp_path):
         result = runner.invoke(
             main, ["check", "--scenario", str(tmp_path / "nope.yaml")]
@@ -215,6 +232,23 @@ class TestCertifyCommand:
                 "--result",
                 str(out / "result.json"),
             ],
+        )
+        assert result.exit_code == 0, result.output
+        assert "certified" in result.output
+
+    def test_exact_mode_day_solves_and_certifies(self, runner, tmp_path):
+        # the criterion-3 day: every candidate tree fits exact_cap, so solve
+        # and certify both check it on its own grids
+        scen = synth_file(runner, tmp_path / "scen.yaml", households=2, intervals=2, seed=1)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["solve", "--scenario", str(scen), "--out", str(out)]
+            + ["--soc-grid", "5", "--action-grid", "5", "--seed", "1"],
+        )
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(
+            main, ["certify", "--scenario", str(scen), "--result", str(out / "result.json")]
         )
         assert result.exit_code == 0, result.output
         assert "certified" in result.output

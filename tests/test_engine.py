@@ -357,6 +357,10 @@ class TestSolve:
         result = solve(scenario, config)
         assert result.converged is False
         assert result.max_deviation_gain > 0.0
+        # the state is measured once, without adopting, and that pass is logged
+        last = result.convergence_log[-1]
+        assert last["certification"] is True
+        assert last["max_bill_drop"] == result.max_deviation_gain
         # the report is still complete and internally consistent
         assert len(result.bills) == 3
         assert result.loads.shape == (3, 8)
@@ -407,14 +411,25 @@ class TestDeviationGain:
         idle = [Schedule([0.0, 0.0], [0.0, 0.0])]
         assert deviation_gain(scenario, idle, 0, config) > 0.0
 
-    @pytest.mark.parametrize("max_sweeps", [100, 1], ids=["converged", "sweep-capped"])
-    def test_emitted_gains_match_the_public_measure(self, max_sweeps):
+    @pytest.mark.parametrize(
+        "shape, overrides, converged",
+        [
+            ((3, 8, 0), dict(soc_grid=24, action_grid=5, seed=0), True),
+            ((3, 8, 0), dict(soc_grid=24, action_grid=5, seed=0, max_sweeps=1), False),
+            # every candidate tree fits exact_cap: the criterion-3 day, which
+            # certifies on its own grids, where the search is exact
+            ((2, 2, 1), dict(soc_grid=5, action_grid=5, seed=1), True),
+        ],
+        ids=["converged", "sweep-capped", "exact-mode"],
+    )
+    def test_emitted_gains_match_the_public_measure(self, shape, overrides, converged):
         from gridshare import synth_scenario
 
-        scenario = synth_scenario(3, 8, seed=0)
-        config = GameConfig(soc_grid=24, action_grid=5, seed=0, max_sweeps=max_sweeps)
+        M, T, seed = shape
+        scenario = synth_scenario(M, T, seed=seed)
+        config = GameConfig(**overrides)
         result = solve(scenario, config)
-        assert result.converged is (max_sweeps > 1)
+        assert result.converged is converged
         for m in range(scenario.n_households):
             assert result.deviation_gains[m] == deviation_gain(
                 scenario, result.schedules, m, config
