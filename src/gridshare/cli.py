@@ -45,6 +45,9 @@ def _load(path):
     except FileNotFoundError:
         click.echo("error: scenario file not found: %s" % path, err=True)
         sys.exit(1)
+    except OSError as exc:
+        click.echo("error: cannot read scenario file: %s" % exc, err=True)
+        sys.exit(1)
     except ScenarioValidationError as exc:
         click.echo("scenario invalid:", err=True)
         for problem in exc.problems:
@@ -223,9 +226,9 @@ def certify(scenario_path, result_path, epsilon):
         sys.exit(1)
     scenario = _load(scenario_path)
     try:
-        with open(result_path) as fh:
+        with open(result_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         click.echo("error: cannot read result document: %s" % exc, err=True)
         sys.exit(1)
     try:

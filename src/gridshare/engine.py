@@ -19,15 +19,15 @@ oracle's exactly.  Equal bills are split by the rollout's rule (cost, then
 
 The outer loop repeats one Gauss-Seidel pass: households respond in fixed
 id order, each seeing the freshest schedules of the others, and a response
-is adopted only when it lowers the bill by more than a threshold.  Coarse
-sweeps adopt every drop until none exceeds epsilon.  Then passes on the
-check grids adopt drops above epsilon / 4, and the first pass that adopts
-nothing certifies the state; a state whose sweeps did not settle is
-measured by one such pass that adopts nothing.  The check grids are the
-game's own in exact mode (every household's tree fits ``exact_cap``), where
-the search is exact, and 2x finer grids otherwise.  So in grid mode the
-certificate is the same 2x search that polished the state, not an
-independent check.
+is adopted only when it lowers the bill by more than epsilon.  Passes climb
+from the game's grids to the check grids: the first pass that adopts
+nothing moves up, and on the check grids it certifies the state.
+``max_sweeps`` bounds every pass; a state not certified (cycle or budget)
+is measured by one check pass that adopts nothing.  The check grids are
+the game's own in exact mode (every household's tree fits ``exact_cap``),
+where the search is exact, so the clean sweep certifies; else 2x finer
+grids.  So in grid mode the certificate is the same 2x search that
+polished the state, not an independent check.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ class GameConfig:
 class EquilibriumResult:
     """Outcome of :func:`solve`, fully re-derivable from the schedules.
 
-    ``deviation_gains`` are the last check pass's gains, measured on the
-    grids :func:`deviation_gain` uses.
+    ``deviation_gains`` are the last pass's gains, measured on the grids
+    :func:`deviation_gain` uses.  ``sweeps_used`` counts the passes on the
+    game's own grids; ``max_sweeps`` bounds those and the check passes.
     """
 
     schedules: list
@@ -508,15 +509,16 @@ def _respond(problem, A, E, m, config):
     return best_a, best_e, max(0.0, old_bill - best_bill)
 
 
-def _pass(problem, A, E, config, adopt_above):
-    """One Gauss-Seidel pass in id order, adopting gains above ``adopt_above``.
+def _pass(problem, A, E, config, adopt=True):
+    """One Gauss-Seidel pass in id order; returns every household's gain.
 
-    Returns every household's gain; ``math.inf`` measures without adopting.
+    A response is adopted when it lowers the bill by more than
+    ``config.epsilon``; ``adopt=False`` only measures.
     """
     gains = []
     for m in range(A.shape[0]):
         a, e, gain = _respond(problem, A, E, m, config)
-        if gain > adopt_above:
+        if adopt and gain > config.epsilon:
             A[m] = a
             E[m] = e
         gains.append(gain)
@@ -571,11 +573,12 @@ def deviation_gain(
 def sweep(scenario: Scenario, schedules: list, config: GameConfig):
     """One Gauss-Seidel pass over all households in fixed id order.
 
-    Returns (new_schedules, improved); improved is True iff some
-    household's bill dropped by more than epsilon.
+    A response is adopted only when it lowers the bill by more than
+    epsilon.  Returns (new_schedules, improved); improved is True iff some
+    response was adopted.
     """
     A, E = _matrices(schedules)
-    gains = _pass(_build_problem(scenario), A, E, config, 0.0)
+    gains = _pass(_build_problem(scenario), A, E, config)
     return [Schedule(a, e) for a, e in zip(A, E)], max(gains) > config.epsilon
 
 
@@ -630,50 +633,45 @@ def _state_hash(A, E) -> str:
 def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
     """Iterated best response from a seeded start, with certification.
 
-    Deterministic for a fixed (scenario, config).  Non-convergence (cycle,
-    sweep budget exhausted, or a certificate not reached in 10 check
-    passes) is reported, not raised: the result carries converged=False
-    plus the deviation gains of the final state, measured on the check
-    grids.
+    Deterministic for a fixed (scenario, config).  Non-convergence (a cycle,
+    or ``max_sweeps`` passes without a certificate) is reported, not raised:
+    the result carries converged=False plus the deviation gains of the
+    final state, measured on the check grids.
     """
     problem = _build_problem(scenario)
     A, E = initial_state(scenario, config)
     seen = {_state_hash(A, E)}
     log = []
-    converged_sweeps = False
-    cycle = False
+    check = _check_config(problem, config)
+    rung = config  # then ``check``, which is ``config`` in exact mode
+    certified = cycle = False
     sweeps_used = 0
     for _ in range(config.max_sweeps):
-        max_drop = max(_pass(problem, A, E, config, 0.0))
-        sweeps_used += 1
-        log.append({"sweep": sweeps_used, "max_bill_drop": max_drop})
-        if max_drop <= config.epsilon:
-            converged_sweeps = True
+        gains = _pass(problem, A, E, rung)
+        entry = {"sweep": len(log) + 1, "max_bill_drop": max(gains)}
+        if rung is config:
+            sweeps_used += 1
+        else:
+            entry["certification"] = True
+        log.append(entry)
+        if max(gains) > config.epsilon:
+            h = _state_hash(A, E)
+            if h in seen:
+                cycle = True
+                break
+            seen.add(h)
+        elif rung is check:
+            certified = True
             break
-        h = _state_hash(A, E)
-        if h in seen:
-            cycle = True
-            break
-        seen.add(h)
-
-    # Converged sweeps are polished then certified: a pass adopts drops
-    # above epsilon / 4, and the first pass that adopts nothing certifies.
-    # Any other state is measured once, without adopting.
-    check = _check_config(problem, config)
-    adopt_above = config.epsilon * 0.25 if converged_sweeps else math.inf
-    for _ in range(10):
-        gains = _pass(problem, A, E, check, adopt_above)
+        else:
+            rung = check
+    if not certified:
+        # any other state is measured once, without adopting
+        gains = _pass(problem, A, E, check, adopt=False)
         log.append(
             {"sweep": len(log) + 1, "max_bill_drop": max(gains), "certification": True}
         )
-        if max(gains) <= adopt_above:
-            break
-    else:
-        converged_sweeps = False
     schedules = [Schedule(a, e) for a, e in zip(A, E)]
-
-    max_gain = max(gains)
-    converged = converged_sweeps and max_gain <= config.epsilon + 1e-9
     trace = audit_community(
         scenario.households,
         schedules,
@@ -696,9 +694,9 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
         aggregated=trace.aggregated,
         pool=trace.pool_leftover,
         soc=trace.soc,
-        converged=converged,
+        converged=certified,
         sweeps_used=sweeps_used,
-        max_deviation_gain=max_gain,
+        max_deviation_gain=max(gains),
         deviation_gains=gains,
         convergence_log=log,
         cycle_detected=cycle,

@@ -252,10 +252,10 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario YAML document."""
-    with open(path, "r") as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ScenarioValidationError(["parse error: %s" % exc])
     return scenario_from_dict(data)
 

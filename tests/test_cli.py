@@ -385,3 +385,47 @@ def test_certify_rejects_charge_above_rate_limit(runner, tmp_path):
     assert result.exit_code == 1, result.output
     assert "error:" in result.output
     assert "feasible region" in result.output
+
+
+# a Latin-1 "é" makes an otherwise plain document invalid UTF-8
+NOT_UTF8 = b"households: [caf\xe9]\n"
+
+
+def _unreadable(tmp_path, kind, name):
+    path = tmp_path / name
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(NOT_UTF8)
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [("directory", "error: cannot read scenario file"), ("not-utf8", "parse error")],
+    ids=["directory", "not-utf8"],
+)
+@pytest.mark.parametrize("command", ["check", "solve", "certify"])
+def test_unreadable_scenario_is_input_error(runner, tmp_path, command, kind, message):
+    path = _unreadable(tmp_path, kind, "scen.yaml")
+    extra = {
+        "check": [],
+        "solve": ["--out", str(tmp_path / "out")],
+        "certify": ["--result", str(tmp_path / "result.json")],
+    }[command]
+    result = runner.invoke(main, [command, "--scenario", str(path), *extra])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_certify_rejects_unreadable_result(runner, baseline_result, kind):
+    scen, _, path = baseline_result
+    path = _unreadable(path.parent, kind, "unreadable.json")
+    result = runner.invoke(
+        main, ["certify", "--scenario", str(scen), "--result", str(path)]
+    )
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "error: cannot read result document" in result.output

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -28,6 +29,7 @@ from gridshare.engine import (
     _matrices,
     _nearest_idx,
     _reachable_grids,
+    _respond,
     _soc_trajectory,
     _stage,
     _terminal_values,
@@ -253,6 +255,20 @@ class TestSweep:
         _, improved_again = sweep(scenario, after, tiny_config)
         assert improved_again is False
 
+    def test_gain_within_epsilon_is_not_adopted(self, tiny_config):
+        # a sweep adopts under solve's rule: only drops above epsilon
+        scenario = make_scenario(
+            demands=[[0.5, 0.5]], re_outputs=[[0.0, 0.0]], generation=[1.2, 0.0]
+        )
+        start = [Schedule([0.0, 0.0], [0.0, 0.0])]
+        gain = _respond(_build_problem(scenario), *_matrices(start), 0, tiny_config)[2]
+        assert gain > 0.0
+        config = dataclasses.replace(tiny_config, epsilon=2.0 * gain)
+        after, improved = sweep(scenario, start, config)
+        assert improved is False
+        assert np.array_equal(after[0].a, start[0].a)
+        assert np.array_equal(after[0].e, start[0].e)
+
 
 class TestInitialState:
     def test_random_init_is_feasible(self, rng):
@@ -364,6 +380,15 @@ class TestSolve:
         # the report is still complete and internally consistent
         assert len(result.bills) == 3
         assert result.loads.shape == (3, 8)
+
+    def test_exact_mode_clean_sweep_is_the_certificate(self):
+        # the criterion-3 day: every candidate tree fits exact_cap, so the
+        # check grids are the game's own and no pass follows the clean sweep
+        scenario = synth_scenario(2, 2, seed=1)
+        result = solve(scenario, GameConfig(soc_grid=5, action_grid=5, seed=1))
+        assert result.converged
+        assert len(result.convergence_log) == result.sweeps_used
+        assert result.convergence_log[-1]["max_bill_drop"] == 0.0
 
     def test_coarse_soc_grid_does_not_warn(self):
         from gridshare import synth_scenario
