@@ -6,15 +6,17 @@ through the battery state-of-charge, so the inner solver is a dynamic
 program over a discretized SOC grid with per-stage candidate enumeration
 (region corners plus uniform samples), followed by iterated local
 refinement on shrinking grids so the returned schedule is accurate well
-below the convergence tolerance.  One stage kernel lays out and prices an
-interval's candidates as a (state, P, Q) block: a taker's battery actions
-along P and its pool draws along Q, a giver's offers along P and its grid
-charges along Q.  A draw moves the load but not the SOC, so a taker's SOC
-step and value lookup run once per (state, action).  The backward pass
-and the rollout both read that block.  For tiny instances the search is
-exhaustive: the same DP runs on the exact SOCs the candidate tree reaches
-at each interval, so no lookup rounds and the bill equals a brute-force
-oracle's exactly.  Equal bills are split by the rollout's rule (cost, then
+below the convergence tolerance.  A successor SOC, which is continuous,
+takes the value linearly interpolated between the two grid cells around
+it.  One stage kernel lays out and prices an interval's candidates as a
+(state, P, Q) block: a taker's battery actions along P and its pool draws
+along Q, a giver's offers along P and its grid charges along Q.  A draw
+moves the load but not the SOC, so a taker's SOC step and value lookup
+run once per (state, action).  The backward pass and the rollout both
+read that block.  For tiny instances the search is exhaustive: the same
+DP runs on the exact SOCs the candidate tree reaches at each interval, so
+every lookup lands on a cell and the bill equals a brute-force oracle's
+exactly.  Equal bills are split by the rollout's rule (cost, then
 |a|, |e|, SOC), not by the oracle's enumeration order.
 
 The outer loop repeats one Gauss-Seidel pass: households respond in fixed
@@ -35,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -177,6 +180,35 @@ class _Env:
     @property
     def horizon(self) -> int:
         return len(self.d)
+
+    @cached_property
+    def floor_path(self) -> list:
+        """Lowest SOC per interval from which the candidates reach the floor.
+
+        Entry t >= 1 is a SOC whose highest candidate successor is at least
+        entry t + 1; the last entry is ``terminal_min``, entry 0 is None,
+        and a stage no SOC gets through leaves it and the earlier entries
+        None.  Four rounds of a 33-point scan put each entry within
+        span / 32**4 above the true boundary.  :func:`_dp` adds the entries
+        to its grids, so interpolation beside the inf cells, which reads inf
+        up to the next finite cell, does not round the feasible set up.
+        """
+        none = np.zeros(0)
+        path = [None] * (self.horizon + 1)
+        path[-1] = self.terminal_min
+        for t in range(self.horizon - 1, 0, -1):
+            lo, hi = self.s_min, self.s_max
+            for _ in range(4):
+                s = np.linspace(lo, hi, 33)
+                nxt = _stage(self, t, s, 2, none, none)[3]
+                top = nxt.reshape(len(s), -1).max(axis=1)
+                ok = np.flatnonzero(top >= path[t + 1])
+                if not len(ok):
+                    return path
+                i = ok[0]
+                lo, hi = s[max(i - 1, 0)], s[i]
+            path[t] = hi
+        return path
 
 
 def _raw_loads(problem: _Problem, A: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -354,15 +386,6 @@ def _soc_trajectory(env: _Env, a: np.ndarray, e: np.ndarray) -> np.ndarray:
 # dynamic program over SOC grids
 
 
-def _nearest_idx(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    i = np.searchsorted(grid, values)
-    i = np.clip(i, 1, len(grid) - 1)
-    left = grid[i - 1]
-    right = grid[i]
-    take_left = (values - left) <= (right - values)
-    return np.where(take_left, i - 1, i)
-
-
 def _terminal_values(env: _Env, grid: np.ndarray) -> np.ndarray:
     v = np.zeros(len(grid))
     if env.terminal_min is not None:
@@ -374,7 +397,11 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     """Backward pass over the SOC grids, then a rollout from the exact s0.
 
     Interval t's candidates are the region samples plus ``extras_a[t]`` and
-    ``extras_e[t]``; a successor SOC takes the value of its nearest cell.
+    ``extras_e[t]``; a successor SOC takes the value interpolated linearly
+    between its two neighbouring cells (a cell's own value on a cell).
+    Next to an inf cell (below ``terminal_soc_min``) that value is inf,
+    never NaN; under a floor each grid also holds its interval's
+    :attr:`_Env.floor_path` entry, so the last feasible SOC is a node.
 
     Each stage is one (state, P, Q) block from :func:`_stage`.  A taker's
     ``nxt`` is per (state, action), so its SOC step and value lookup run
@@ -384,11 +411,16 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     fl(min_e c_e + v), also when v is inf.
     """
     horizon = env.horizon
+    if env.terminal_min is not None:
+        grids = [
+            g if f is None else np.union1d(g, [f])
+            for g, f in zip(grids, env.floor_path)
+        ]
     values = [None] * (horizon + 1)
     values[horizon] = _terminal_values(env, grids[horizon])
 
     def value_after(t, nxt):
-        return values[t + 1][_nearest_idx(grids[t + 1], nxt)]
+        return np.interp(nxt, grids[t + 1], values[t + 1])
 
     for t in range(horizon - 1, 0, -1):
         # a stage's arrays stay bound until the next stage has built its own:
@@ -429,8 +461,9 @@ def _exhaustive(taker: np.ndarray, n_act: int, cap: int) -> bool:
 def _reachable_grids(env: _Env, n_act: int) -> list:
     """Every SOC the candidate tree reaches, per interval, from the exact s0.
 
-    Each successor is a cell of the next grid, so the DP on these grids is
-    the exhaustive search with no nearest-cell rounding.
+    Each successor is a cell of the next grid, where the interpolated
+    lookup returns that cell's value exactly, so the DP on these grids is
+    the exhaustive search.
     """
     none = np.zeros(0)
     grids = [np.array([env.s0])]
@@ -588,7 +621,10 @@ def initial_state(scenario: Scenario, config: GameConfig):
     Random mode samples each decision uniformly inside its feasibility
     region, walking households in id order so pool draws never exceed the
     offers committed so far.  Cold start uses the all-zero / share-all
-    point instead.
+    point instead.  Under ``terminal_soc_min`` a decision whose SOC would
+    fall below the floor path charges as hard as its region allows, so a
+    reachable floor is met and no response compares against a start that
+    misses it.
     """
     problem = _build_problem(scenario)
     rng = np.random.default_rng(config.seed)
@@ -597,7 +633,10 @@ def initial_state(scenario: Scenario, config: GameConfig):
     E = np.zeros((n, horizon))
     pool_remaining = np.zeros(horizon)
     for m in range(n):
-        env = _build_env(problem, A, E, m, None)
+        env = _build_env(problem, A, E, m, config.terminal_soc_min)
+        floor = [None] * (horizon + 1)
+        if env.terminal_min is not None:
+            floor = env.floor_path
         s = env.s0
         for t in range(horizon):
             d = float(env.d[t])
@@ -609,14 +648,23 @@ def initial_state(scenario: Scenario, config: GameConfig):
                     a = rng.uniform(*_taker_action_range(env, s, d, phi_p))
                     e_lo = _taker_draw_floor(d, a, pool_remaining[t])
                     e = rng.uniform(e_lo, 0.0)
-                pool_remaining[t] += e  # e <= 0 draws the pool down
             else:
+                e_lo, e_hi = _giver_offer_range(env, s, d, phi_p, 0.0)
                 if config.cold_start:
                     a, e = 0.0, -d
                 else:
-                    e = rng.uniform(*_giver_offer_range(env, s, d, phi_p, 0.0))
+                    e = rng.uniform(e_lo, e_hi)
                     a = rng.uniform(0.0, _giver_charge_cap(env, s, d, phi_p, e))
-                pool_remaining[t] += problem.eta_bar * e
+            low = floor[t + 1]
+            if low is not None and _transition(env, t, s, a, e) < low:
+                # the sample strands the floor: charge as hard as the region allows
+                if env.taker[t]:
+                    a, e = float(_taker_action_range(env, s, d, phi_p)[1]), 0.0
+                else:
+                    e = e_lo
+                    a = float(_giver_charge_cap(env, s, d, phi_p, e))
+            # a taker's e <= 0 draws the pool down; a giver's offer fills it
+            pool_remaining[t] += e if env.taker[t] else problem.eta_bar * e
             A[m, t] = a
             E[m, t] = e
             s = float(_transition(env, t, s, a, e))

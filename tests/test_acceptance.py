@@ -8,6 +8,7 @@ are stated inline next to each assertion.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ def test_criterion_1_equilibrium_certificate(flagship, capsys):
         "converged=%s, max deviation gain on the check grids %.3g (eps=%g), solve %.1fs"
         % (result.converged, max(gains), config.epsilon, elapsed),
     )
+
+
+def test_flagship_equilibrium_holds_on_4x_grids(flagship):
+    # deviation_gain refines this 2x config once more, so the search runs on
+    # 4x the game's grids, a rung the solver never adopted from
+    scenario, config, result, _ = flagship
+    finer = replace(config, soc_grid=128, action_grid=18)
+    gains = [
+        deviation_gain(scenario, result.schedules, m, finer)
+        for m in range(scenario.n_households)
+    ]
+    assert max(gains) <= config.epsilon, gains
 
 
 def test_criterion_2_tracking_error_reduction(flagship, capsys):

@@ -27,7 +27,6 @@ from gridshare.engine import (
     _exhaustive,
     _local_grids,
     _matrices,
-    _nearest_idx,
     _reachable_grids,
     _respond,
     _soc_trajectory,
@@ -411,6 +410,44 @@ class TestSolve:
         result = solve(scenario, config)
         assert result.soc[0, -1] >= floor - 1e-6
 
+    def test_floor_met_only_between_two_cells(self):
+        # the floor sits 0.01 below the highest terminal SOC the candidates
+        # reach, with no cell of the round-0 grid between the two:
+        # interpolating between the inf cell below and the cell above reads
+        # inf, so only the floor path's nodes keep the feasible SOCs finite.
+        # The random start misses the floor unless it, too, follows the path.
+        scenario, env = slow_charger(None)
+        top = env.s0
+        for t in range(env.horizon):
+            top = highest_successor(env, t, top)
+        floor = top - 0.01
+        grid = _uniform_grid(env, 24)
+        assert not np.any((grid >= floor) & (grid <= top))
+        config = GameConfig(soc_grid=24, action_grid=5, terminal_soc_min=floor)
+        result = solve(scenario, config)
+        assert floor <= result.soc[0, -1] <= top
+
+
+def slow_charger(terminal_min, T=4):
+    """A lone taker that charges at most ~2.4 kWh an interval from 0.6 kWh.
+
+    Returns its scenario and its best-response env under ``terminal_min``.
+    """
+    scenario = make_scenario(
+        demands=[[0.9] * T],
+        re_outputs=[[0.0] * T],
+        generation=[0.5] * T,
+        batteries=[simple_battery(rho_plus=0.45)],
+        initial_socs=[0.6],
+    )
+    zeros = np.zeros((1, T))
+    return scenario, _build_env(_build_problem(scenario), zeros, zeros, 0, terminal_min)
+
+
+def highest_successor(env, t, s):
+    none = np.zeros(0)
+    return float(_stage(env, t, np.array([s]), 2, none, none)[3].max())
+
 
 class TestDeviationGain:
     def test_zero_at_certified_equilibrium(self):
@@ -484,6 +521,11 @@ def flat_dp(env, grids, n_act, extras_a, extras_e):
     Returns the rolled-out (a, e) and the backward values.
     """
     horizon = env.horizon
+    if env.terminal_min is not None:
+        grids = [
+            g if f is None else np.union1d(g, [f])
+            for g, f in zip(grids, env.floor_path)
+        ]
     values = [None] * (horizon + 1)
     values[horizon] = _terminal_values(env, grids[horizon])
 
@@ -496,7 +538,7 @@ def flat_dp(env, grids, n_act, extras_a, extras_e):
             np.broadcast_to(x, block).reshape(len(s), -1) for x in (a, e, cost)
         )
         nxt = _transition(env, t, s[:, None], a, e)
-        return a, e, nxt, cost + values[t + 1][_nearest_idx(grids[t + 1], nxt)]
+        return a, e, nxt, cost + np.interp(nxt, grids[t + 1], values[t + 1])
 
     for t in range(horizon - 1, 0, -1):
         values[t] = totals(t, grids[t])[3].min(axis=1)
@@ -551,6 +593,66 @@ class TestStageReduction:
             seen["giver"] += int((~env.taker).sum())
             seen["inf"] += int(any(np.isinf(v).any() for v in values[1:]))
         assert min(seen.values()) > 0, seen
+
+
+class TestValueLookup:
+    # _dp looks a successor up with np.interp(nxt, grid, values); these pin
+    # what it relies on next to the inf cells of a terminal_soc_min floor
+
+    def test_interp_is_inf_beside_the_floor_and_exact_on_cells(self):
+        scenario = make_scenario(
+            demands=[[0.5]], re_outputs=[[0.0]], generation=[0.5]
+        )
+        env = _build_env(
+            _build_problem(scenario), np.zeros((1, 1)), np.zeros((1, 1)), 0, 6.5
+        )
+        grid = _uniform_grid(env, 17)
+        values = _terminal_values(env, grid) + np.linspace(0.3, 1.9, len(grid))
+        inf = np.isinf(values)
+        assert inf.any() and not inf.all()
+        # every cell gives its own value, inf or not
+        assert np.array_equal(np.interp(grid, grid, values), values)
+        # strictly between two cells: inf when either cell is inf
+        mid = 0.5 * (grid[:-1] + grid[1:])
+        looked = np.interp(mid, grid, values)
+        beside = inf[:-1] | inf[1:]
+        assert np.all(np.isposinf(looked[beside]))
+        assert np.all(np.isfinite(looked[~beside]))
+        dense = np.linspace(env.s_min, env.s_max, 4001)
+        assert not np.isnan(np.interp(dense, grid, values)).any()
+
+    def test_floor_path_is_the_reach_boundary(self):
+        # each entry's highest successor reaches the next entry and a SOC
+        # 1e-4 below it falls short: the scan rounds up by less than that
+        _, env = slow_charger(9.0)
+        path = env.floor_path
+        assert path[0] is None and path[-1] == 9.0
+        for t in range(1, env.horizon):
+            assert env.s_min < path[t] < path[t + 1]
+            assert highest_successor(env, t, path[t]) >= path[t + 1]
+            assert highest_successor(env, t, path[t] - 1e-4) < path[t + 1]
+
+    def test_dp_values_hold_no_nan_under_a_floor(self, monkeypatch):
+        scenario = synth_scenario(2, 6, seed=5)
+        problem = _build_problem(scenario)
+        A, E = initial_state(scenario, GameConfig(seed=0))
+        inf_between_cells = []
+        interp = np.interp
+
+        def spy(x, xp, fp):
+            out = interp(x, xp, fp)
+            assert not np.isnan(fp).any() and not np.isnan(out).any()
+            inf_between_cells.append(np.isinf(out[~np.isin(x, xp)]).sum())
+            return out
+
+        monkeypatch.setattr(np, "interp", spy)
+        for m in range(2):
+            env = _build_env(problem, A, E, m, 6.0)
+            grids = [_uniform_grid(env, 24)] * (env.horizon + 1)
+            none = np.zeros((env.horizon, 0))
+            a, e = _dp(env, grids, 5, none, none)
+            assert _soc_trajectory(env, a, e)[-1] >= 6.0 - 1e-9
+        assert sum(inf_between_cells) > 0
 
 
 def dfs_best(env, n_act):
@@ -629,7 +731,7 @@ class TestExhaustiveSearch:
 
     def test_one_cell_level_and_tie_rule(self):
         # h1 starts full and gives at t=0: its one offer leaves a single
-        # reachable SOC at level 1, whose lookup reads index -1 of a one-cell
+        # reachable SOC at level 1, whose lookup interpolates on a one-cell
         # grid.  h2 covers its 1 kWh taker demand at a bill of 0 either by
         # discharging or from the pool; the rollout's tie rule (cost, then
         # |a|, |e|, SOC) takes the draw, the DFS the first-listed discharge
@@ -662,23 +764,43 @@ class TestGoldenSchedules:
             (
                 (3, 12, 4),
                 dict(cold_start=True, soc_grid=32, action_grid=5),
-                "ed4e6a70b9406efabc01b9dd841725ef557a8fb30c8f7eee1afbb51a4e20b952",
+                "8bc8c51862f4a32c73e7cee1039ceb380c3e782c8bcf0d02723f7ee7e58b8f49",
             ),
             (
                 (2, 6, 5),
                 dict(soc_grid=24, action_grid=5, terminal_soc_min=6.0),
-                "7235735e993e843e76e210354480bea158a0b53ec7aedca771b4310767023b79",
+                "b0d64256b1e2ce0ddfeae40ab601feb488016b2de7af21ffd41269b4898b976b",
             ),
             (
-                # a taker here keeps a pool draw the exact per-interval draw
-                # scan (bench/checks.draw_gains) beats by 2.8e-5, so the
-                # digest pins the sampled draw axis, not only its ends
+                # every pool draw here covers the taker's whole residual
+                # demand, an end of the draw axis
                 (3, 8, 1),
                 dict(soc_grid=24, action_grid=5),
-                "3030064e5e095c426a7eb80050ba40783c0c71298bd63917f0ad7610b32e7ab8",
+                "8d5fa0f64513d0441c9c3aa44243bfe89e0a7cea79aec85f64000ecc4ec3b501",
+            ),
+            (
+                # a taker here keeps an interior pool draw the exact
+                # per-interval draw scan (bench/checks.draw_gains) beats by
+                # 1.3e-6, so the digest pins the sampled draw axis itself
+                (3, 8, 5),
+                dict(soc_grid=24, action_grid=5),
+                "33642885940d16cda42a859578c1d39f660cd29266e2556ab105564e63d23610",
+            ),
+            (
+                # the criterion-3 day: every tree fits exact_cap, so the
+                # search is exhaustive and no value lookup rounds or blends
+                (2, 2, 1),
+                dict(soc_grid=5, action_grid=5, seed=1),
+                "91084988c002ac76985a356e13dd7eb9b70e85cf5ede8796c44673769f2ff045",
             ),
         ],
-        ids=["3x12-seed4-cold", "2x6-seed5-terminal", "3x8-seed1-draw"],
+        ids=[
+            "3x12-seed4-cold",
+            "2x6-seed5-terminal",
+            "3x8-seed1-draw",
+            "3x8-seed5-draw",
+            "2x2-seed1-exact",
+        ],
     )
     def test_solved_schedules_are_pinned(self, shape, overrides, digest):
         M, T, seed = shape
