@@ -4,8 +4,9 @@ Subcommands: ``synth`` (generate a scenario file), ``check`` (validate
 only), ``solve`` (baseline + game + emission), ``certify`` (replay an
 emitted result and rerun the solver's own check search, which is the
 search that certified it: exhaustive on the game's grids when every
-household's candidate tree fits ``exact_cap``, else on 2x finer grids, so
-in grid mode it is not an independent check).
+household's candidate tree fits the exhaustive cap (20000 leaves), else on
+grids 2x finer in actions but in SOC only in refinement round 0, so in
+grid mode it is not an independent check).
 
 Exit codes: 0 success / converged, 2 non-converged (report still written,
 or certification failed), 1 input error.
@@ -103,30 +104,16 @@ def check(scenario_path):
     )
 
 
-#: GameConfig fields exposed as ``solve`` flags; the rest keep their defaults
-_FLAG_FIELDS = (
-    "epsilon",
-    "max_sweeps",
-    "soc_grid",
-    "action_grid",
-    "seed",
-    "cold_start",
-    "terminal_soc_min",
-)
-
-
 def _config_options(fn):
-    """Add one ``solve`` flag per exposed GameConfig field, same default."""
-    defaults = {f.name: f.default for f in dataclasses.fields(GameConfig)}
-    for name in reversed(_FLAG_FIELDS):
-        flag = "--" + name.replace("_", "-")
-        default = defaults[name]
-        if default is None:
+    """Add one ``solve`` flag per GameConfig field, same default."""
+    for f in reversed(dataclasses.fields(GameConfig)):
+        flag = "--" + f.name.replace("_", "-")
+        if f.default is None:
             fn = click.option(flag, default=None, type=float)(fn)
-        elif isinstance(default, bool):
-            fn = click.option(flag, is_flag=True, default=default)(fn)
+        elif isinstance(f.default, bool):
+            fn = click.option(flag, is_flag=True, default=f.default)(fn)
         else:
-            fn = click.option(flag, default=default, show_default=True)(fn)
+            fn = click.option(flag, default=f.default, show_default=True)(fn)
     return fn
 
 
@@ -173,7 +160,8 @@ def _config_from_doc(cfg) -> GameConfig:
 def _read_result(doc, scenario):
     """(config, schedules) of a result document for ``scenario``.
 
-    Raises GridShareError naming the first malformed part.
+    Raises GridShareError naming the first malformed part, or every
+    household whose replayed schedule ends below ``terminal_soc_min``.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("game"), dict):
         raise GridShareError("no game section")
@@ -203,13 +191,24 @@ def _read_result(doc, scenario):
         schedules.append(Schedule(*series))
     # a schedule outside its feasible region can show a bill no feasible
     # deviation beats, so replay it before measuring any gain
-    audit_community(
+    trace = audit_community(
         scenario.households,
         schedules,
         scenario.eta_inv,
         scenario.eta_bar,
         scenario.dt,
     )
+    floor = config.terminal_soc_min
+    if floor is not None:
+        short = [
+            "%s ends at %.6g kWh" % (h.id, soc[-1])
+            for h, soc in zip(scenario.households, trace.soc)
+            if soc[-1] < floor - 1e-9
+        ]
+        if short:
+            raise GridShareError(
+                "terminal_soc_min %g missed: %s" % (floor, ", ".join(short))
+            )
     return config, schedules
 
 

@@ -26,10 +26,14 @@ from the game's grids to the check grids: the first pass that adopts
 nothing moves up, and on the check grids it certifies the state.
 ``max_sweeps`` bounds every pass; a state not certified (cycle or budget)
 is measured by one check pass that adopts nothing.  The check grids are
-the game's own in exact mode (every household's tree fits ``exact_cap``),
-where the search is exact, so the clean sweep certifies; else 2x finer
-grids.  So in grid mode the certificate is the same 2x search that
-polished the state, not an independent check.
+the game's own in exact mode (every household's tree fits the exhaustive
+cap, 20000 leaves), where the search is exact, so the clean sweep
+certifies; else grids with twice the game's ``soc_grid`` and
+``action_grid``.  Those are 2x finer in actions, but in SOC only in
+refinement round 0 once ``soc_grid`` exceeds 20, since every later round's
+local SOC grid is capped at 41 points plus 9 anchors.  So in grid mode the
+certificate is the same search that polished the state, not an
+independent check.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ from .errors import GridShareError, InfeasibleConfigError
 from .scenario import Scenario
 
 _TERMINAL_TOL = 1e-9
+_REFINE_ROUNDS = 26  # local-grid rounds after the uniform round 0
+_EXACT_CAP = 20000  # max candidate-tree leaves for exhaustive mode
 
 
 @dataclass(frozen=True)
@@ -60,8 +66,6 @@ class GameConfig:
     seed: int = 0
     cold_start: bool = False
     terminal_soc_min: float | None = None
-    refine_rounds: int = 26
-    exact_cap: int = 20000  # max candidate-tree size for exhaustive mode
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
@@ -74,10 +78,6 @@ class GameConfig:
             raise GridShareError("action_grid must be >= 3")
         if self.seed < 0:
             raise GridShareError("seed must be >= 0")
-        if self.refine_rounds < 0:
-            raise GridShareError("refine_rounds must be >= 0")
-        if self.exact_cap < 1:
-            raise GridShareError("exact_cap must be >= 1")
         if self.terminal_soc_min is not None and not math.isfinite(
             self.terminal_soc_min
         ):
@@ -105,7 +105,6 @@ class EquilibriumResult:
     deviation_gains: list
     convergence_log: list
     cycle_detected: bool
-    soc_snap: list              # per-household |initial_soc - nearest grid cell|
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +499,7 @@ def _local_grids(env: _Env, soc_traj: np.ndarray, n: int, sigma: float):
 def _respond(problem, A, E, m, config):
     """Household ``m``'s best response on ``config``'s grids: (a, e, gain >= 0).
 
-    When the candidate tree fits ``exact_cap``, one DP on the reachable SOC
+    When the candidate tree fits ``_EXACT_CAP``, one DP on the reachable SOC
     sets, which is exhaustive; else DP rounds on grids that shrink around
     the best schedule so far.  Only a lower bill replaces the incumbent.
     """
@@ -508,7 +507,7 @@ def _respond(problem, A, E, m, config):
     n_act = config.action_grid
     best_a, best_e = A[m], E[m]
     old_bill = best_bill = _bill_of(env, best_a, best_e)
-    if _exhaustive(env.taker, n_act, config.exact_cap):
+    if _exhaustive(env.taker, n_act, _EXACT_CAP):
         none = np.zeros((env.horizon, 0))
         a, e = _dp(env, _reachable_grids(env, n_act), n_act, none, none)
         bill = _bill_of(env, a, e)
@@ -517,7 +516,7 @@ def _respond(problem, A, E, m, config):
     else:
         span = env.s_max - env.s_min
         stale = 0
-        for k in range(config.refine_rounds + 1):
+        for k in range(_REFINE_ROUNDS + 1):
             if k == 0:
                 grids = [_uniform_grid(env, config.soc_grid)] * (env.horizon + 1)
                 offsets = np.zeros(1)
@@ -566,10 +565,13 @@ def _check_config(problem: _Problem, config: GameConfig) -> GameConfig:
     """The config whose grids check a state of the game played on ``config``.
 
     The game's own grids when every household's candidate tree fits
-    ``exact_cap``, since that search is exact; else 2x finer grids.
+    ``_EXACT_CAP``, since that search is exact; else twice the game's
+    ``soc_grid`` and ``action_grid``.  That is 2x finer in actions, but in
+    SOC only in refinement round 0 once ``soc_grid`` exceeds 20, since
+    :func:`_local_grids` caps every later round at 41 points plus 9 anchors.
     """
     n_act = config.action_grid
-    if all(_exhaustive(t, n_act, config.exact_cap) for t in problem.taker):
+    if all(_exhaustive(t, n_act, _EXACT_CAP) for t in problem.taker):
         return config
     return replace(config, soc_grid=config.soc_grid * 2, action_grid=n_act * 2)
 
@@ -595,8 +597,10 @@ def deviation_gain(
     """Best unilateral improvement for ``m``, found on the check grids.
 
     Those are the grids :func:`solve` certifies on: the game's own in exact
-    mode, 2x finer ones otherwise.  Non-negative by construction: the
-    current schedule seeds the search.
+    mode (every tree fits the exhaustive cap, 20000 leaves), otherwise 2x
+    finer in actions but in SOC only in refinement round 0 (see
+    :func:`_check_config`).  Non-negative by construction: the current
+    schedule seeds the search.
     """
     problem = _build_problem(scenario)
     A, E = _matrices(schedules)
@@ -728,13 +732,6 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
         scenario.dt,
     )
     bills = billing.community_bills(trace.loads, scenario.tariff)
-    # informational: no DP pass reads grids[0], and every rollout starts
-    # from the exact initial SOC, so a snap distance cannot change a result
-    base_grid = np.linspace(0.0, 1.0, config.soc_grid)
-    snaps = []
-    for h in scenario.households:
-        grid = h.battery.s_min + base_grid * (h.battery.s_max - h.battery.s_min)
-        snaps.append(float(np.min(np.abs(grid - h.initial_soc))))
     return EquilibriumResult(
         schedules=schedules,
         bills=bills,
@@ -748,5 +745,4 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
         deviation_gains=gains,
         convergence_log=log,
         cycle_detected=cycle,
-        soc_snap=snaps,
     )

@@ -31,7 +31,7 @@ from . import billing
 from .engine import EquilibriumResult, GameConfig, solve
 from .scenario import Scenario
 
-RESULT_SCHEMA_VERSION = 1
+RESULT_SCHEMA_VERSION = 2
 
 
 def tracking_error(aggregated, generation) -> float:
@@ -138,7 +138,6 @@ def result_document(report: RunReport) -> dict:
             "aggregated_load": _floats(eq.aggregated),
             "pool": _floats(eq.pool),
             "convergence_log": eq.convergence_log,
-            "soc_snap": _floats(eq.soc_snap),
             "households": {
                 ids[m]: {
                     "a": _floats(eq.schedules[m].a),

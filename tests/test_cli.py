@@ -340,10 +340,7 @@ def test_certify_checks_the_intact_baseline_document(runner, baseline_result):
     [
         pytest.param(lambda doc: doc["config"].update(bogus=1), id="unknown-config-key"),
         pytest.param(lambda doc: doc["config"].update(epsilon=0), id="zero-epsilon"),
-        pytest.param(
-            lambda doc: doc["config"].update(refine_rounds=-1), id="negative-refine-rounds"
-        ),
-        pytest.param(lambda doc: doc["config"].update(exact_cap=0), id="zero-exact-cap"),
+        pytest.param(lambda doc: doc["config"].update(exact_cap=20000), id="v1-config-key"),
         pytest.param(lambda doc: doc.update(schema_version=99), id="wrong-schema-version"),
         pytest.param(lambda doc: doc.pop("schema_version"), id="missing-schema-version"),
         pytest.param(lambda doc: doc.update(schema_version=True), id="bool-schema-version"),
@@ -353,6 +350,9 @@ def test_certify_checks_the_intact_baseline_document(runner, baseline_result):
                 a=[-100.0] * len(doc["game"]["households"]["h1"]["a"])
             ),
             id="infeasible-schedule",
+        ),
+        pytest.param(
+            lambda doc: doc["config"].update(terminal_soc_min=13.0), id="missed-floor"
         ),
     ],
 )

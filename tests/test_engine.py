@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from gridshare import (
     audit_community,
     best_response,
     deviation_gain,
+    engine,
     initial_state,
     phi_minus,
     phi_plus,
@@ -65,8 +65,6 @@ class TestGameConfig:
             {"action_grid": 2},
             {"epsilon": math.inf},
             {"seed": -1},
-            {"refine_rounds": -1},
-            {"exact_cap": 0},
             {"terminal_soc_min": math.inf},
             {"terminal_soc_min": math.nan},
         ],
@@ -121,7 +119,7 @@ class TestBestResponse:
         loads = replay_loads(scenario, [sched])[0]
         assert loads[0] > loads[1]
 
-    def test_matches_dense_grid_oracle(self, tiny_config):
+    def test_matches_dense_grid_oracle(self, tiny_config, monkeypatch):
         # one household, two intervals: enumerate a dense grid over both
         # battery actions and check the solver is at least as good
         scenario = make_scenario(
@@ -184,9 +182,10 @@ class TestBestResponse:
                 )
                 best = min(best, bill)
 
-        # exact_cap=1 forces the refining DP path even on this tiny game,
+        # a cap of 1 forces the refining DP path even on this tiny game,
         # so the solver should approach the continuous optimum
-        config = GameConfig(soc_grid=16, action_grid=7, seed=0, exact_cap=1)
+        monkeypatch.setattr(engine, "_EXACT_CAP", 1)
+        config = GameConfig(soc_grid=16, action_grid=7, seed=0)
         sched = best_response(
             scenario, [Schedule([0.0, 0.0], [0.0, 0.0])], 0, config
         )
@@ -388,16 +387,6 @@ class TestSolve:
         assert result.converged
         assert len(result.convergence_log) == result.sweeps_used
         assert result.convergence_log[-1]["max_bill_drop"] == 0.0
-
-    def test_coarse_soc_grid_does_not_warn(self):
-        from gridshare import synth_scenario
-
-        # the grid misses initial_soc; soc_snap records it, nothing warns
-        scenario = synth_scenario(1, 4, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = solve(scenario, GameConfig(soc_grid=8, action_grid=3))
-        assert result.soc_snap[0] > 1e-9
 
     def test_terminal_soc_floor_respected(self):
         scenario = make_scenario(
@@ -695,7 +684,7 @@ class TestExhaustiveSearch:
         # every successor SOC is a cell of the next reachable grid, so the DP
         # finds the DFS optimum exactly; only exact bill ties may differ
         rng = np.random.default_rng(7)
-        cap = GameConfig().exact_cap
+        cap = engine._EXACT_CAP
         seen = {"taker": 0, "giver": 0, "floor": 0, "infeasible": 0}
         cases = ties = 0
         while cases < 200:
