@@ -65,6 +65,8 @@ class TestGameConfig:
             {"action_grid": 2},
             {"epsilon": math.inf},
             {"seed": -1},
+            {"epsilon": math.nan},
+            {"epsilon": -1.0},
             {"terminal_soc_min": math.inf},
             {"terminal_soc_min": math.nan},
         ],
