@@ -2,11 +2,9 @@
 
 Subcommands: ``synth`` (generate a scenario file), ``check`` (validate
 only), ``solve`` (baseline + game + emission), ``certify`` (replay an
-emitted result and rerun the solver's own check search, which is the
-search that certified it: exhaustive on the game's grids when every
-household's candidate tree fits the exhaustive cap (20000 leaves), else on
-grids 2x finer in actions but in SOC only in refinement round 0, so in
-grid mode it is not an independent check).
+emitted result and rerun the solver's own check search on the check
+grids ``engine._check_config`` picks; in grid mode that is the search that
+certified the result, not an independent check).
 
 Exit codes: 0 success / converged, 2 non-converged (report still written,
 or certification failed), 1 input error.
@@ -154,6 +152,9 @@ def _config_from_doc(cfg) -> GameConfig:
             raise GridShareError("unknown config key %r" % name)
         if not _json_type_ok(value, defaults[name]):
             raise GridShareError("config.%s: wrong type, got %r" % (name, value))
+    missing = [name for name in defaults if name not in cfg]
+    if missing:
+        raise GridShareError("config is missing %s" % ", ".join(missing))
     return GameConfig(**cfg)
 
 

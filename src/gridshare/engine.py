@@ -26,21 +26,17 @@ from the game's grids to the check grids: the first pass that adopts
 nothing moves up, and on the check grids it certifies the state.
 ``max_sweeps`` bounds every pass; a state not certified (cycle or budget)
 is measured by one check pass that adopts nothing.  The check grids are
-the game's own in exact mode (every household's tree fits the exhaustive
-cap, 20000 leaves), where the search is exact, so the clean sweep
-certifies; else grids with twice the game's ``soc_grid`` and
-``action_grid``.  Those are 2x finer in actions, but in SOC only in
-refinement round 0 once ``soc_grid`` exceeds 20, since every later round's
-local SOC grid is capped at 41 points plus 9 anchors.  So in grid mode the
-certificate is the same search that polished the state, not an
-independent check.
+the ones :func:`_check_config` picks: in exact mode the game's own, where
+the search is exact, so the clean sweep certifies; in grid mode finer
+ones, where the certificate is the same search that polished the state,
+not an independent check.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -108,73 +104,44 @@ class EquilibriumResult:
 
 
 # ---------------------------------------------------------------------------
-# precomputed views of the problem
+# one household's view of the day
 
 
-@dataclass
-class _Problem:
-    d: np.ndarray       # (M, T) net demand
-    taker: np.ndarray   # (M, T) bool
-    g: np.ndarray
-    p0: float
-    eta_inv: float
-    eta_bar: float
-    dt: float
-    bats: list
-    s0: list
-
-
-def _build_problem(scenario: Scenario) -> _Problem:
-    d = scenario.net_demands()
-    return _Problem(
-        d=d,
-        taker=d > 0.0,
-        g=np.asarray(scenario.tariff.generation, dtype=float),
-        p0=scenario.tariff.p0,
-        eta_inv=scenario.eta_inv,
-        eta_bar=scenario.eta_bar,
-        dt=scenario.dt,
-        bats=[h.battery for h in scenario.households],
-        s0=[float(h.initial_soc) for h in scenario.households],
-    )
-
-
-@dataclass
 class _Env:
     """Everything household m's best response needs, with others frozen."""
 
-    d: np.ndarray          # (T,)
-    taker: np.ndarray      # (T,) bool
-    l_others: np.ndarray   # (T,)
-    pool_avail: np.ndarray # (T,) pool left for m at taker intervals
-    min_offer: np.ndarray  # (T,) offer m must keep up at giver intervals
-    g: np.ndarray
-    p0: float
-    eta_inv: float
-    dt: float
-    s0: float
-    bat: object
-    terminal_min: float | None
-    # battery constants hoisted out of the inner loops
-    s_min: float = field(init=False)
-    s_max: float = field(init=False)
-    s_tr: float = field(init=False)
-    cvf: float = field(init=False)    # 1 - exp(-dt / gamma_2)
-    sdf: float = field(init=False)    # (1 + rho_bar) ** dt
-    phim: float = field(init=False)   # phi_minus
-    c_charge: float = field(init=False)     # eta_inv * eta_plus
-    c_discharge: float = field(init=False)  # eta_inv * eta_minus
-
-    def __post_init__(self):
-        bat = self.bat
+    def __init__(self, scenario: Scenario, A, E, m: int, terminal_min):
+        d = scenario.net_demands()
+        taker = d > 0.0
+        loads = np.where(taker, d + A + E, A)
+        offers = np.where(taker, 0.0, E)
+        draws = np.where(taker, -E, 0.0)
+        offers_others = offers.sum(axis=0) - offers[m]
+        draws_others = draws.sum(axis=0) - draws[m]
+        self.d = d[m]
+        self.taker = taker[m]
+        self.l_others = loads.sum(axis=0) - loads[m]
+        # the pool left for m at taker intervals, and the offer m must keep up
+        # at giver intervals, where draws_others == all draws
+        eta_bar = scenario.eta_bar
+        self.pool_avail = np.maximum(0.0, eta_bar * offers_others - draws_others)
+        self.min_offer = np.maximum(0.0, draws_others / eta_bar - offers_others)
+        self.g = np.asarray(scenario.tariff.generation, dtype=float)
+        self.p0 = scenario.tariff.p0
+        self.dt = dt = scenario.dt
+        self.s0 = float(scenario.households[m].initial_soc)
+        self.bat = bat = scenario.households[m].battery
+        self.terminal_min = terminal_min
+        # battery constants hoisted out of the inner loops
+        eta_inv = scenario.eta_inv
         self.s_min = bat.s_min
         self.s_max = bat.s_max
         self.s_tr = bat.transition_soc
-        self.cvf = 1.0 - math.exp(-self.dt / bat.gamma_2)
-        self.sdf = (1.0 + bat.rho_bar) ** self.dt
-        self.phim = bat.rho_minus * self.dt * self.eta_inv * bat.eta_minus
-        self.c_charge = self.eta_inv * bat.eta_plus
-        self.c_discharge = self.eta_inv * bat.eta_minus
+        self.cvf = 1.0 - math.exp(-dt / bat.gamma_2)
+        self.sdf = (1.0 + bat.rho_bar) ** dt
+        self.phim = bat.rho_minus * dt * eta_inv * bat.eta_minus
+        self.c_charge = eta_inv * bat.eta_plus
+        self.c_discharge = eta_inv * bat.eta_minus
 
     @property
     def horizon(self) -> int:
@@ -208,44 +175,6 @@ class _Env:
                 lo, hi = s[max(i - 1, 0)], s[i]
             path[t] = hi
         return path
-
-
-def _raw_loads(problem: _Problem, A: np.ndarray, E: np.ndarray) -> np.ndarray:
-    return np.where(problem.taker, problem.d + A + E, A)
-
-
-def _build_env(
-    problem: _Problem,
-    A: np.ndarray,
-    E: np.ndarray,
-    m: int,
-    terminal_min: float | None,
-) -> _Env:
-    giver = ~problem.taker
-    loads = _raw_loads(problem, A, E)
-    l_others = loads.sum(axis=0) - loads[m]
-    offers = np.where(giver, E, 0.0)
-    draws = np.where(problem.taker, -E, 0.0)
-    offers_others = offers.sum(axis=0) - offers[m]
-    draws_others = draws.sum(axis=0) - draws[m]
-    eta_bar = problem.eta_bar
-    pool_avail = np.maximum(0.0, eta_bar * offers_others - draws_others)
-    # m is a giver wherever min_offer matters, so draws_others == all draws
-    min_offer = np.maximum(0.0, draws_others / eta_bar - offers_others)
-    return _Env(
-        d=problem.d[m],
-        taker=problem.taker[m],
-        l_others=l_others,
-        pool_avail=pool_avail,
-        min_offer=min_offer,
-        g=problem.g,
-        p0=problem.p0,
-        eta_inv=problem.eta_inv,
-        dt=problem.dt,
-        s0=problem.s0[m],
-        bat=problem.bats[m],
-        terminal_min=terminal_min,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +425,22 @@ def _local_grids(env: _Env, soc_traj: np.ndarray, n: int, sigma: float):
 # best response, Gauss-Seidel passes and the outer loop
 
 
-def _respond(problem, A, E, m, config):
+def _respond(scenario, A, E, m, config):
     """Household ``m``'s best response on ``config``'s grids: (a, e, gain >= 0).
 
     When the candidate tree fits ``_EXACT_CAP``, one DP on the reachable SOC
     sets, which is exhaustive; else DP rounds on grids that shrink around
-    the best schedule so far.  Only a lower bill replaces the incumbent.
+    the best schedule so far.  Only a lower bill replaces the incumbent.  An
+    incumbent that ends below ``terminal_soc_min`` is priced at inf, so any
+    response that meets the floor replaces it and the gain is inf.
     """
-    env = _build_env(problem, A, E, m, config.terminal_soc_min)
+    env = _Env(scenario, A, E, m, config.terminal_soc_min)
     n_act = config.action_grid
     best_a, best_e = A[m], E[m]
     old_bill = best_bill = _bill_of(env, best_a, best_e)
+    if env.terminal_min is not None:
+        if _soc_trajectory(env, best_a, best_e)[-1] < env.terminal_min - _TERMINAL_TOL:
+            old_bill = best_bill = math.inf
     if _exhaustive(env.taker, n_act, _EXACT_CAP):
         none = np.zeros((env.horizon, 0))
         a, e = _dp(env, _reachable_grids(env, n_act), n_act, none, none)
@@ -541,7 +475,7 @@ def _respond(problem, A, E, m, config):
     return best_a, best_e, max(0.0, old_bill - best_bill)
 
 
-def _pass(problem, A, E, config, adopt=True):
+def _pass(scenario, A, E, config, adopt=True):
     """One Gauss-Seidel pass in id order; returns every household's gain.
 
     A response is adopted when it lowers the bill by more than
@@ -549,7 +483,7 @@ def _pass(problem, A, E, config, adopt=True):
     """
     gains = []
     for m in range(A.shape[0]):
-        a, e, gain = _respond(problem, A, E, m, config)
+        a, e, gain = _respond(scenario, A, E, m, config)
         if adopt and gain > config.epsilon:
             A[m] = a
             E[m] = e
@@ -561,7 +495,7 @@ def _matrices(schedules):
     return np.array([s.a for s in schedules]), np.array([s.e for s in schedules])
 
 
-def _check_config(problem: _Problem, config: GameConfig) -> GameConfig:
+def _check_config(scenario: Scenario, config: GameConfig) -> GameConfig:
     """The config whose grids check a state of the game played on ``config``.
 
     The game's own grids when every household's candidate tree fits
@@ -571,7 +505,8 @@ def _check_config(problem: _Problem, config: GameConfig) -> GameConfig:
     :func:`_local_grids` caps every later round at 41 points plus 9 anchors.
     """
     n_act = config.action_grid
-    if all(_exhaustive(t, n_act, _EXACT_CAP) for t in problem.taker):
+    takers = scenario.net_demands() > 0.0
+    if all(_exhaustive(t, n_act, _EXACT_CAP) for t in takers):
         return config
     return replace(config, soc_grid=config.soc_grid * 2, action_grid=n_act * 2)
 
@@ -584,7 +519,7 @@ def best_response(
 ) -> Schedule:
     """Bill-minimizing schedule for household ``m`` with others held fixed."""
     A, E = _matrices(schedules)
-    a, e, _ = _respond(_build_problem(scenario), A, E, m, config)
+    a, e, _ = _respond(scenario, A, E, m, config)
     return Schedule(a, e)
 
 
@@ -596,15 +531,13 @@ def deviation_gain(
 ) -> float:
     """Best unilateral improvement for ``m``, found on the check grids.
 
-    Those are the grids :func:`solve` certifies on: the game's own in exact
-    mode (every tree fits the exhaustive cap, 20000 leaves), otherwise 2x
-    finer in actions but in SOC only in refinement round 0 (see
+    Those are the grids :func:`solve` certifies on (see
     :func:`_check_config`).  Non-negative by construction: the current
-    schedule seeds the search.
+    schedule seeds the search.  It is inf when that schedule ends below
+    ``terminal_soc_min``, since any response that meets the floor beats it.
     """
-    problem = _build_problem(scenario)
     A, E = _matrices(schedules)
-    return _respond(problem, A, E, m, _check_config(problem, config))[2]
+    return _respond(scenario, A, E, m, _check_config(scenario, config))[2]
 
 
 def sweep(scenario: Scenario, schedules: list, config: GameConfig):
@@ -615,7 +548,7 @@ def sweep(scenario: Scenario, schedules: list, config: GameConfig):
     response was adopted.
     """
     A, E = _matrices(schedules)
-    gains = _pass(_build_problem(scenario), A, E, config)
+    gains = _pass(scenario, A, E, config)
     return [Schedule(a, e) for a, e in zip(A, E)], max(gains) > config.epsilon
 
 
@@ -630,14 +563,13 @@ def initial_state(scenario: Scenario, config: GameConfig):
     reachable floor is met and no response compares against a start that
     misses it.
     """
-    problem = _build_problem(scenario)
     rng = np.random.default_rng(config.seed)
-    n, horizon = problem.d.shape
+    n, horizon = scenario.n_households, scenario.horizon
     A = np.zeros((n, horizon))
     E = np.zeros((n, horizon))
     pool_remaining = np.zeros(horizon)
     for m in range(n):
-        env = _build_env(problem, A, E, m, config.terminal_soc_min)
+        env = _Env(scenario, A, E, m, config.terminal_soc_min)
         floor = [None] * (horizon + 1)
         if env.terminal_min is not None:
             floor = env.floor_path
@@ -668,7 +600,7 @@ def initial_state(scenario: Scenario, config: GameConfig):
                     e = e_lo
                     a = float(_giver_charge_cap(env, s, d, phi_p, e))
             # a taker's e <= 0 draws the pool down; a giver's offer fills it
-            pool_remaining[t] += e if env.taker[t] else problem.eta_bar * e
+            pool_remaining[t] += e if env.taker[t] else scenario.eta_bar * e
             A[m, t] = a
             E[m, t] = e
             s = float(_transition(env, t, s, a, e))
@@ -690,16 +622,15 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
     the result carries converged=False plus the deviation gains of the
     final state, measured on the check grids.
     """
-    problem = _build_problem(scenario)
     A, E = initial_state(scenario, config)
     seen = {_state_hash(A, E)}
     log = []
-    check = _check_config(problem, config)
+    check = _check_config(scenario, config)
     rung = config  # then ``check``, which is ``config`` in exact mode
     certified = cycle = False
     sweeps_used = 0
     for _ in range(config.max_sweeps):
-        gains = _pass(problem, A, E, rung)
+        gains = _pass(scenario, A, E, rung)
         entry = {"sweep": len(log) + 1, "max_bill_drop": max(gains)}
         if rung is config:
             sweeps_used += 1
@@ -719,7 +650,7 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
             rung = check
     if not certified:
         # any other state is measured once, without adopting
-        gains = _pass(problem, A, E, check, adopt=False)
+        gains = _pass(scenario, A, E, check, adopt=False)
         log.append(
             {"sweep": len(log) + 1, "max_bill_drop": max(gains), "certification": True}
         )

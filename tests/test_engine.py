@@ -20,9 +20,8 @@ from gridshare import (
     synth_scenario,
 )
 from gridshare.engine import (
+    _Env,
     _bill_of,
-    _build_env,
-    _build_problem,
     _dp,
     _exhaustive,
     _local_grids,
@@ -261,7 +260,7 @@ class TestSweep:
             demands=[[0.5, 0.5]], re_outputs=[[0.0, 0.0]], generation=[1.2, 0.0]
         )
         start = [Schedule([0.0, 0.0], [0.0, 0.0])]
-        gain = _respond(_build_problem(scenario), *_matrices(start), 0, tiny_config)[2]
+        gain = _respond(scenario, *_matrices(start), 0, tiny_config)[2]
         assert gain > 0.0
         config = dataclasses.replace(tiny_config, epsilon=2.0 * gain)
         after, improved = sweep(scenario, start, config)
@@ -381,6 +380,19 @@ class TestSolve:
         assert len(result.bills) == 3
         assert result.loads.shape == (3, 8)
 
+    def test_revisited_state_is_reported_as_a_cycle(self, monkeypatch):
+        # a pass that claims an adopting gain but leaves the state as it was
+        # revisits the start, so the first pass closes a cycle
+        def fake_pass(scenario, A, E, config, adopt=True):
+            return [1.0 if adopt else 0.5] * A.shape[0]
+
+        monkeypatch.setattr(engine, "_pass", fake_pass)
+        result = solve(synth_scenario(2, 4, seed=0), GameConfig(soc_grid=8))
+        assert result.cycle_detected is True and result.converged is False
+        assert result.sweeps_used == 1 and result.max_deviation_gain == 0.5
+        assert len(result.convergence_log) == 2
+        assert result.convergence_log[-1]["certification"] is True
+
     def test_exact_mode_clean_sweep_is_the_certificate(self):
         # the criterion-3 day: every candidate tree fits exact_cap, so the
         # check grids are the game's own and no pass follows the clean sweep
@@ -432,7 +444,7 @@ def slow_charger(terminal_min, T=4):
         initial_socs=[0.6],
     )
     zeros = np.zeros((1, T))
-    return scenario, _build_env(_build_problem(scenario), zeros, zeros, 0, terminal_min)
+    return scenario, _Env(scenario, zeros, zeros, 0, terminal_min)
 
 
 def highest_successor(env, t, s):
@@ -463,6 +475,25 @@ class TestDeviationGain:
         # the idle schedule is feasible but clearly not a best response
         idle = [Schedule([0.0, 0.0], [0.0, 0.0])]
         assert deviation_gain(scenario, idle, 0, config) > 0.0
+
+    def test_inf_for_a_schedule_below_the_floor(self):
+        # solved without a floor, both households end below 2 kWh; under a
+        # 6 kWh floor a response that meets it replaces each incumbent
+        scenario = synth_scenario(2, 6, seed=5)
+        config = GameConfig(soc_grid=24, action_grid=5)
+        schedules = solve(scenario, config).schedules
+        floored = dataclasses.replace(config, terminal_soc_min=6.0)
+        for m in range(2):
+            assert deviation_gain(scenario, schedules, m, floored) == math.inf
+        schedules[0] = best_response(scenario, schedules, 0, floored)
+        soc = audit_community(
+            scenario.households,
+            schedules,
+            scenario.eta_inv,
+            scenario.eta_bar,
+            scenario.dt,
+        ).soc
+        assert soc[0, -1] >= 6.0 - 1e-9 > soc[1, -1]
 
     @pytest.mark.parametrize(
         "shape, overrides, converged",
@@ -557,14 +588,13 @@ class TestStageReduction:
         for case in range(48):
             M, T = int(rng.integers(2, 4)), int(rng.integers(4, 11))
             scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
-            problem = _build_problem(scenario)
             A, E = initial_state(scenario, GameConfig(seed=case))
             m = int(rng.integers(0, M))
             bat = scenario.households[m].battery
             terminal = None
             if case % 2:
                 terminal = bat.s_min + rng.uniform(0.1, 0.7) * (bat.s_max - bat.s_min)
-            env = _build_env(problem, A, E, m, terminal)
+            env = _Env(scenario, A, E, m, terminal)
             n_act = int(rng.integers(3, 10))
             n_grid = int(rng.integers(6, 48))
             sigma = rng.uniform(0.05, 0.5) * (env.s_max - env.s_min)
@@ -594,9 +624,7 @@ class TestValueLookup:
         scenario = make_scenario(
             demands=[[0.5]], re_outputs=[[0.0]], generation=[0.5]
         )
-        env = _build_env(
-            _build_problem(scenario), np.zeros((1, 1)), np.zeros((1, 1)), 0, 6.5
-        )
+        env = _Env(scenario, np.zeros((1, 1)), np.zeros((1, 1)), 0, 6.5)
         grid = _uniform_grid(env, 17)
         values = _terminal_values(env, grid) + np.linspace(0.3, 1.9, len(grid))
         inf = np.isinf(values)
@@ -625,7 +653,6 @@ class TestValueLookup:
 
     def test_dp_values_hold_no_nan_under_a_floor(self, monkeypatch):
         scenario = synth_scenario(2, 6, seed=5)
-        problem = _build_problem(scenario)
         A, E = initial_state(scenario, GameConfig(seed=0))
         inf_between_cells = []
         interp = np.interp
@@ -638,7 +665,7 @@ class TestValueLookup:
 
         monkeypatch.setattr(np, "interp", spy)
         for m in range(2):
-            env = _build_env(problem, A, E, m, 6.0)
+            env = _Env(scenario, A, E, m, 6.0)
             grids = [_uniform_grid(env, 24)] * (env.horizon + 1)
             none = np.zeros((env.horizon, 0))
             a, e = _dp(env, grids, 5, none, none)
@@ -699,7 +726,7 @@ class TestExhaustiveSearch:
             if cases % 4 == 0:
                 bat = scenario.households[m].battery
                 terminal = bat.s_min + rng.uniform(0.2, 1.1) * (bat.s_max - bat.s_min)
-            env = _build_env(_build_problem(scenario), A, E, m, terminal)
+            env = _Env(scenario, A, E, m, terminal)
             if not _exhaustive(env.taker, n_act, cap):
                 continue
             cases += 1
@@ -736,11 +763,10 @@ class TestExhaustiveSearch:
         result = solve(scenario, config)
         assert result.converged and result.bills == [0.0, 0.0]
         A, E = _matrices(result.schedules)
-        problem = _build_problem(scenario)
-        h1 = _build_env(problem, A, E, 0, None)
+        h1 = _Env(scenario, A, E, 0, None)
         assert len(_reachable_grids(h1, config.action_grid)[1]) == 1
         assert (A[1, 0], E[1, 0]) == (0.0, -1.0)
-        h2 = _build_env(problem, A, E, 1, None)
+        h2 = _Env(scenario, A, E, 1, None)
         ref_a, ref_e = dfs_best(h2, config.action_grid)
         assert (ref_a[0], ref_e[0]) == (-1.0, 0.0)
         assert _bill_of(h2, ref_a, ref_e) == _bill_of(h2, A[1], E[1]) == 0.0
