@@ -39,12 +39,6 @@ from .engine import (
     sweep,
 )
 from .report import RunReport, emit, run, run_baseline, tracking_error
-from .scenario import (
-    Scenario,
-    SynthShape,
-    load_scenario,
-    save_scenario,
-    synth_scenario,
-)
+from .scenario import Scenario, load_scenario, save_scenario, synth_scenario
 
 __version__ = "0.1.0"

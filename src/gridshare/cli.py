@@ -3,18 +3,21 @@
 Subcommands: ``synth`` (generate a scenario file), ``check`` (validate
 only), ``solve`` (baseline + game + emission), ``certify`` (replay an
 emitted result and rerun the solver's own check search on the check
-grids ``engine._check_config`` picks; in grid mode that is the search that
-certified the result, not an independent check).
+grids ``engine._check_config`` picks, judged against the run's own
+epsilon; in grid mode that is the search that certified the result, not
+an independent check).  ``synth`` takes the day's size and seed; its shape
+is fixed (see ``scenario.synth_scenario``).
 
 Exit codes: 0 success / converged, 2 non-converged (report still written,
-or certification failed), 1 input error.
+or certification failed), 1 input or usage error, or an output that
+cannot be written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
-import math
 import sys
 
 import click
@@ -24,16 +27,36 @@ from .decisions import Schedule, audit_community
 from .engine import GameConfig, deviation_gain
 from .errors import GridShareError, ScenarioValidationError
 from .report import RESULT_SCHEMA_VERSION, emit, run
-from .scenario import (
-    SynthShape,
-    load_scenario,
-    number_series,
-    save_scenario,
-    synth_scenario,
-)
+from .scenario import load_scenario, number_series, save_scenario, synth_scenario
 
 
-@click.group()
+@contextlib.contextmanager
+def _usage_error_exits_1():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+class _Group(click.Group):
+    """Exits 1 on a usage error, like on any input error.
+
+    Click's own code for one, 2, means a non-converged solve or a failed
+    certificate here.  The group's own arguments are parsed in
+    ``make_context``, a command's in ``invoke``.
+    """
+
+    def make_context(self, *args, **kwargs):
+        with _usage_error_exits_1():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_error_exits_1():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Day-ahead battery and energy-sharing scheduling for prosumer communities."""
 
@@ -59,35 +82,18 @@ def _load(path):
 @click.option("--intervals", "-T", default=24, show_default=True)
 @click.option("--seed", default=7, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--demand-peak", default=1.4, show_default=True, help="peak demand power, kW")
-@click.option("--re-peak", default=1.2, show_default=True, help="peak RE power, kW")
-@click.option("--solar-fraction", default=0.5, show_default=True)
-@click.option(
-    "--generation-ratio",
-    default=1.0,
-    show_default=True,
-    help="total UC generation relative to the community's positive net demand",
-)
-@click.option("--p0", default=0.01, show_default=True, help="base price, cost/kWh")
-def synth(households, intervals, seed, out, demand_peak, re_peak, solar_fraction, generation_ratio, p0):
+def synth(households, intervals, seed, out):
     """Generate a reproducible synthetic scenario file."""
     try:
-        scenario = synth_scenario(
-            households,
-            intervals,
-            seed,
-            SynthShape(
-                demand_peak=demand_peak,
-                re_peak=re_peak,
-                solar_fraction=solar_fraction,
-                generation_ratio=generation_ratio,
-                p0=p0,
-            ),
-        )
+        scenario = synth_scenario(households, intervals, seed)
     except GridShareError as exc:
         click.echo("error: %s" % exc, err=True)
         sys.exit(1)
-    save_scenario(scenario, out)
+    try:
+        save_scenario(scenario, out)
+    except OSError as exc:
+        click.echo("error: cannot write scenario file: %s" % exc, err=True)
+        sys.exit(1)
     click.echo("wrote %s (M=%d, T=%d, seed=%d)" % (out, households, intervals, seed))
 
 
@@ -108,8 +114,6 @@ def _config_options(fn):
         flag = "--" + f.name.replace("_", "-")
         if f.default is None:
             fn = click.option(flag, default=None, type=float)(fn)
-        elif isinstance(f.default, bool):
-            fn = click.option(flag, is_flag=True, default=f.default)(fn)
         else:
             fn = click.option(flag, default=f.default, show_default=True)(fn)
     return fn
@@ -128,7 +132,11 @@ def solve(scenario_path, out, baseline_only, **knobs):
     except GridShareError as exc:
         click.echo("error: %s" % exc, err=True)
         sys.exit(1)
-    paths = emit(report, out)
+    try:
+        paths = emit(report, out)
+    except OSError as exc:
+        click.echo("error: cannot write report: %s" % exc, err=True)
+        sys.exit(1)
     click.echo(paths["summary"].read_text().rstrip())
     if report.equilibrium is not None and not report.equilibrium.converged:
         sys.exit(2)
@@ -138,8 +146,8 @@ def _json_type_ok(value, default) -> bool:
     """Whether a JSON value has the type of a GameConfig field's default."""
     if value is None:
         return default is None
-    if isinstance(default, int):  # bool or int; a bool is not an int here
-        return type(value) is type(default)
+    if isinstance(default, int):
+        return type(value) is int  # a JSON bool is not an int here
     return type(value) in (int, float)
 
 
@@ -216,14 +224,8 @@ def _read_result(doc, scenario):
 @main.command()
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
 @click.option("--result", "result_path", required=True, type=click.Path())
-@click.option("--epsilon", default=None, type=float, help="override the run's epsilon")
-def certify(scenario_path, result_path, epsilon):
+def certify(scenario_path, result_path):
     """Rerun the solver's check search on an emitted result."""
-    if epsilon is not None and not 0 < epsilon < math.inf:
-        click.echo(
-            "error: --epsilon must be finite and > 0, got %r" % epsilon, err=True
-        )
-        sys.exit(1)
     scenario = _load(scenario_path)
     try:
         with open(result_path, encoding="utf-8") as fh:
@@ -236,10 +238,17 @@ def certify(scenario_path, result_path, epsilon):
     except GridShareError as exc:
         click.echo("error: invalid result document: %s" % exc, err=True)
         sys.exit(1)
-    eps = epsilon if epsilon is not None else config.epsilon
+    eps = config.epsilon
+    try:
+        gains = [
+            deviation_gain(scenario, schedules, m, config)
+            for m in range(scenario.n_households)
+        ]
+    except GridShareError as exc:
+        click.echo("error: %s" % exc, err=True)
+        sys.exit(1)
     ok = True
-    for m, h in enumerate(scenario.households):
-        gain = deviation_gain(scenario, schedules, m, config)
+    for h, gain in zip(scenario.households, gains):
         status = "PASS" if gain <= eps + 1e-9 else "FAIL"
         ok = ok and status == "PASS"
         click.echo("%s deviation_gain=%.3g (eps=%.3g) %s" % (h.id, gain, eps, status))

@@ -49,6 +49,7 @@ from .scenario import Scenario
 _TERMINAL_TOL = 1e-9
 _REFINE_ROUNDS = 26  # local-grid rounds after the uniform round 0
 _EXACT_CAP = 20000  # max candidate-tree leaves for exhaustive mode
+_MAX_BLOCK = 10**7  # max cells of one (state, P, Q) stage block
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class GameConfig:
     soc_grid: int = 64
     action_grid: int = 9
     seed: int = 0
-    cold_start: bool = False
     terminal_soc_min: float | None = None
 
     def __post_init__(self):
@@ -72,6 +72,19 @@ class GameConfig:
             raise GridShareError("soc_grid must be >= 2")
         if self.action_grid < 3:
             raise GridShareError("action_grid must be >= 3")
+        # the largest block a grid-mode _respond builds is a taker's, (states,
+        # n_act + 1 + extras, n_act + extras): round 0 has soc_grid states and
+        # 1 extra, a later round at most min(soc_grid, 41) + 10 states and 7,
+        # and a floor adds a state; exhaustive blocks stay under _EXACT_CAP
+        n, k = self.soc_grid, self.action_grid
+        cells = max(
+            (n + 1) * (k + 2) * (k + 1), (min(n, 41) + 11) * (k + 8) * (k + 7)
+        )
+        if cells > _MAX_BLOCK:
+            raise GridShareError(
+                "soc_grid %d with action_grid %d needs %d-cell stage blocks, "
+                "more than %d" % (self.soc_grid, self.action_grid, cells, _MAX_BLOCK)
+            )
         if self.seed < 0:
             raise GridShareError("seed must be >= 0")
         if self.terminal_soc_min is not None and not math.isfinite(
@@ -503,12 +516,16 @@ def _check_config(scenario: Scenario, config: GameConfig) -> GameConfig:
     ``soc_grid`` and ``action_grid``.  That is 2x finer in actions, but in
     SOC only in refinement round 0 once ``soc_grid`` exceeds 20, since
     :func:`_local_grids` caps every later round at 41 points plus 9 anchors.
+    Those grids meet GameConfig's stage-block bound or raise GridShareError.
     """
     n_act = config.action_grid
     takers = scenario.net_demands() > 0.0
     if all(_exhaustive(t, n_act, _EXACT_CAP) for t in takers):
         return config
-    return replace(config, soc_grid=config.soc_grid * 2, action_grid=n_act * 2)
+    try:
+        return replace(config, soc_grid=config.soc_grid * 2, action_grid=n_act * 2)
+    except GridShareError as exc:
+        raise GridShareError("check grids: %s" % exc) from None
 
 
 def best_response(
@@ -555,11 +572,10 @@ def sweep(scenario: Scenario, schedules: list, config: GameConfig):
 def initial_state(scenario: Scenario, config: GameConfig):
     """Seeded feasible starting schedules.
 
-    Random mode samples each decision uniformly inside its feasibility
-    region, walking households in id order so pool draws never exceed the
-    offers committed so far.  Cold start uses the all-zero / share-all
-    point instead.  Under ``terminal_soc_min`` a decision whose SOC would
-    fall below the floor path charges as hard as its region allows, so a
+    Samples each decision uniformly inside its feasibility region, walking
+    households in id order so pool draws never exceed the offers committed
+    so far.  Under ``terminal_soc_min`` a decision whose SOC would fall
+    below the floor path charges as hard as its region allows, so a
     reachable floor is met and no response compares against a start that
     misses it.
     """
@@ -578,19 +594,12 @@ def initial_state(scenario: Scenario, config: GameConfig):
             d = float(env.d[t])
             phi_p = float(_phi_plus_vec(env, s))
             if env.taker[t]:
-                if config.cold_start:
-                    a, e = 0.0, 0.0
-                else:
-                    a = rng.uniform(*_taker_action_range(env, s, d, phi_p))
-                    e_lo = _taker_draw_floor(d, a, pool_remaining[t])
-                    e = rng.uniform(e_lo, 0.0)
+                a = rng.uniform(*_taker_action_range(env, s, d, phi_p))
+                e = rng.uniform(_taker_draw_floor(d, a, pool_remaining[t]), 0.0)
             else:
                 e_lo, e_hi = _giver_offer_range(env, s, d, phi_p, 0.0)
-                if config.cold_start:
-                    a, e = 0.0, -d
-                else:
-                    e = rng.uniform(e_lo, e_hi)
-                    a = rng.uniform(0.0, _giver_charge_cap(env, s, d, phi_p, e))
+                e = rng.uniform(e_lo, e_hi)
+                a = rng.uniform(0.0, _giver_charge_cap(env, s, d, phi_p, e))
             low = floor[t + 1]
             if low is not None and _transition(env, t, s, a, e) < low:
                 # the sample strands the floor: charge as hard as the region allows

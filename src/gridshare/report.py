@@ -31,7 +31,7 @@ from . import billing
 from .engine import EquilibriumResult, GameConfig, solve
 from .scenario import Scenario
 
-RESULT_SCHEMA_VERSION = 2
+RESULT_SCHEMA_VERSION = 3
 
 
 def tracking_error(aggregated, generation) -> float:

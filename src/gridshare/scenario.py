@@ -274,20 +274,6 @@ def save_scenario(scenario: Scenario, path):
 # synthetic scenarios
 
 
-@dataclass
-class SynthShape:
-    """Shape knobs for the synthetic generator (powers in kW)."""
-
-    demand_base: float = 0.25
-    demand_peak: float = 1.4
-    morning_hour: float = 8.0
-    evening_hour: float = 19.0
-    re_peak: float = 1.2
-    solar_fraction: float = 0.5
-    generation_ratio: float = 1.0  # sum(g) relative to sum of positive net demand
-    p0: float = 0.01
-
-
 # largest n_households * horizon that synth_scenario generates; checked
 # before anything is allocated
 _SYNTH_MAX_CELLS = 10**7
@@ -297,18 +283,15 @@ def _gauss(hours, center, width):
     return np.exp(-0.5 * ((hours - center) / width) ** 2)
 
 
-def synth_scenario(
-    n_households: int,
-    horizon: int,
-    seed: int,
-    shape: SynthShape | None = None,
-) -> Scenario:
+def synth_scenario(n_households: int, horizon: int, seed: int) -> Scenario:
     """Generate a reproducible community scenario.
 
-    Demand has morning and evening peaks; renewable output is a solar-like
-    midday hump or a wind-like smoothed-noise series per household; the
-    utility generation curve has a midday hump scaled so its total matches
-    ``generation_ratio`` times the community's positive net demand.
+    Demand power is a 0.25 kW base plus morning (8 h) and evening (19 h)
+    peaks of about 1.4 kW.  Renewable output peaks near 1.2 kW: a
+    solar-like midday hump for about half the households, a wind-like
+    smoothed-noise series for the rest.  The utility generation curve has
+    a midday hump scaled so its total equals the community's positive net
+    demand, and the base price p0 is 0.01 cost units per kWh.
     """
     problems = []
     if n_households < 1 or horizon < 2:
@@ -322,22 +305,21 @@ def synth_scenario(
         )
     if problems:
         raise ScenarioValidationError(problems)
-    shape = shape or SynthShape()
     rng = np.random.default_rng(seed)
     dt = 24.0 / horizon
     hours = (np.arange(horizon) + 0.5) * dt
     households = []
     for i in range(n_households):
-        morning = rng.uniform(0.7, 1.3) * shape.demand_peak
-        evening = rng.uniform(0.8, 1.4) * shape.demand_peak
+        morning = rng.uniform(0.7, 1.3) * 1.4
+        evening = rng.uniform(0.8, 1.4) * 1.4
         demand_power = (
-            shape.demand_base
-            + morning * _gauss(hours, shape.morning_hour, 1.8)
-            + evening * _gauss(hours, shape.evening_hour, 2.4)
+            0.25
+            + morning * _gauss(hours, 8.0, 1.8)
+            + evening * _gauss(hours, 19.0, 2.4)
         )
         demand_power *= rng.uniform(0.95, 1.05, size=horizon)
-        is_solar = rng.uniform() < shape.solar_fraction
-        amp = rng.uniform(0.8, 1.2) * shape.re_peak
+        is_solar = rng.uniform() < 0.5
+        amp = rng.uniform(0.8, 1.2) * 1.2
         if is_solar:
             sun = np.clip(np.sin(np.pi * (hours - 6.0) / 12.0), 0.0, None)
             re_power = amp * sun**2
@@ -366,11 +348,10 @@ def synth_scenario(
         d = net_demand(h.demand, h.re_output, eta_inv)
         total_positive += float(np.sum(np.maximum(d, 0.0)))
     gen_shape = 0.15 + _gauss(hours, 13.0, 3.5)
-    gen_total = shape.generation_ratio * total_positive
-    generation = gen_shape * (gen_total / float(np.sum(gen_shape)))
+    generation = gen_shape * (total_positive / float(np.sum(gen_shape)))
     scenario = Scenario(
         households=households,
-        tariff=TariffParams(p0=shape.p0, generation=generation),
+        tariff=TariffParams(p0=0.01, generation=generation),
         eta_inv=eta_inv,
         eta_bar=0.9,
         horizon=horizon,

@@ -102,6 +102,13 @@ class TestSynthAndCheck:
         assert len(errors) == 1 and "synth size M*T must be <= 10000000" in errors[0]
         assert not path.exists()
 
+    def test_unwritable_synth_out_is_output_error(self, runner, tmp_path):
+        path = tmp_path / "missing" / "scen.yaml"
+        result = runner.invoke(main, ["synth", "--out", str(path)])
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error: cannot write scenario file" in result.output
+
     def test_missing_file_is_input_error(self, runner, tmp_path):
         result = runner.invoke(
             main, ["check", "--scenario", str(tmp_path / "nope.yaml")]
@@ -161,6 +168,33 @@ class TestSolveCommand:
         assert result.exit_code == 1, result.output
         assert "error:" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--soc-grid", "10000000000000"], ["--action-grid", "100000"]],
+        ids=["soc-grid", "action-grid"],
+    )
+    def test_absurd_grid_is_input_error(self, runner, tmp_path, flags):
+        scen = synth_file(runner, tmp_path / "scen.yaml")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["solve", "--scenario", str(scen), "--out", str(out), *flags]
+        )
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error: soc_grid" in result.output
+        assert not out.exists()
+
+    def test_unwritable_out_is_output_error(self, runner, tmp_path):
+        scen = synth_file(runner, tmp_path / "scen.yaml")
+        out = scen / "sub"  # below a file
+        result = runner.invoke(
+            main,
+            ["solve", "--scenario", str(scen), "--out", str(out), "--baseline-only"],
+        )
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error: cannot write report" in result.output
 
     def test_baseline_only(self, runner, tmp_path):
         scen = synth_file(runner, tmp_path / "scen.yaml")
@@ -322,11 +356,9 @@ def _baseline_result(runner, tmp_path, **synth):
     return scen, doc, tmp_path / "result.json"
 
 
-def _certify(runner, scen, doc, path, *flags):
+def _certify(runner, scen, doc, path):
     path.write_text(json.dumps(doc))
-    return runner.invoke(
-        main, ["certify", "--scenario", str(scen), "--result", str(path), *flags]
-    )
+    return runner.invoke(main, ["certify", "--scenario", str(scen), "--result", str(path)])
 
 
 def test_certify_checks_the_intact_baseline_document(runner, baseline_result):
@@ -341,6 +373,12 @@ def test_certify_checks_the_intact_baseline_document(runner, baseline_result):
         pytest.param(lambda doc: doc["config"].update(bogus=1), id="unknown-config-key"),
         pytest.param(lambda doc: doc["config"].update(epsilon=0), id="zero-epsilon"),
         pytest.param(lambda doc: doc["config"].update(exact_cap=20000), id="v1-config-key"),
+        pytest.param(lambda doc: doc["config"].update(cold_start=False), id="v2-cold-start-key"),
+        pytest.param(lambda doc: doc["config"].update(soc_grid=10**13), id="absurd-soc-grid"),
+        pytest.param(
+            lambda doc: doc["config"].update(soc_grid=400000, action_grid=3),
+            id="check-grids-too-large",
+        ),
         pytest.param(
             lambda doc: doc["config"].pop("terminal_soc_min"), id="missing-config-key"
         ),
@@ -366,15 +404,6 @@ def test_certify_rejects_bad_result_document(runner, baseline_result, corrupt):
     assert result.exit_code == 1, result.output
     assert "error:" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
-
-
-@pytest.mark.parametrize("epsilon", ["inf", "nan", "-1", "0"])
-def test_certify_rejects_bad_epsilon_override(runner, baseline_result, epsilon):
-    # the override gets the range check of a run's own epsilon
-    result = _certify(runner, *baseline_result, "--epsilon", epsilon)
-    assert result.exit_code == 1, result.output
-    assert "error:" in result.output
-    assert "certified" not in result.output and "FAIL" not in result.output
 
 
 def test_certify_rejects_charge_above_rate_limit(runner, tmp_path):
@@ -432,3 +461,46 @@ def test_certify_rejects_unreadable_result(runner, baseline_result, kind):
     assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "error: cannot read result document" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param([], id="no-command"),
+        pytest.param(["--bogus"], id="unknown-group-option"),
+        pytest.param(["bogus"], id="unknown-command"),
+        pytest.param(["solve", "--scenario", "{scen}"], id="solve-missing-out"),
+        pytest.param(
+            ["solve", "--scenario", "{scen}", "--out", "{out}", "--soc-grid", "abc"],
+            id="solve-soc-grid-not-int",
+        ),
+        pytest.param(
+            ["solve", "--scenario", "{scen}", "--out", "{out}", "--bogus"],
+            id="solve-unknown-option",
+        ),
+        pytest.param(["certify", "--scenario", "{scen}"], id="certify-missing-result"),
+        pytest.param(
+            ["certify", "--scenario", "{scen}", "--result", "{result}", "--epsilon", "1e-3"],
+            id="certify-epsilon",
+        ),
+        pytest.param(["synth", "--out", "{out}", "--p0", "0.02"], id="synth-p0"),
+    ],
+)
+def test_usage_error_exits_one(runner, tmp_path, args):
+    # exit 2 means not converged or not certified, never a mistyped command
+    scen, doc, result_path = _baseline_result(runner, tmp_path)
+    result_path.write_text(json.dumps(doc))
+    out = tmp_path / "fresh"
+    args = [a.format(scen=scen, out=out, result=result_path) for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Usage:" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]], ids=["group", "solve"])
+def test_help_exits_zero(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert "Usage:" in result.output

@@ -68,11 +68,28 @@ class TestGameConfig:
             {"epsilon": -1.0},
             {"terminal_soc_min": math.inf},
             {"terminal_soc_min": math.nan},
+            {"soc_grid": 10**13},
+            {"action_grid": 100000},
+            {"soc_grid": 10**6, "action_grid": 3},
         ],
     )
     def test_invalid_config_rejected(self, overrides):
         with pytest.raises(GridShareError):
             GameConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "grids", [(64, 9), (128, 18), (256, 36)], ids=["default", "check", "4x-check"]
+    )
+    def test_block_bound_admits_the_used_grids(self, grids):
+        # the default, its check rung, and the rung deviation_gain builds on
+        # the 4x check's (128, 18)
+        GameConfig(soc_grid=grids[0], action_grid=grids[1])
+
+    def test_check_rung_inherits_the_block_bound(self):
+        # (400000, 3) fits the bound; its check rung (800000, 6) does not
+        config = GameConfig(soc_grid=400000, action_grid=3)
+        with pytest.raises(GridShareError, match="check grids: soc_grid 800000"):
+            engine._check_config(synth_scenario(2, 24, seed=7), config)
 
 
 class TestBestResponse:
@@ -284,18 +301,6 @@ class TestInitialState:
                 scenario.eta_bar,
                 scenario.dt,
             )
-
-    def test_cold_start_is_zero_or_share_all(self):
-        scenario = make_scenario(
-            demands=[[1.0, 0.0]],
-            re_outputs=[[0.0, 1.0]],
-            generation=[1.0, 1.0],
-        )
-        A, E = initial_state(scenario, GameConfig(cold_start=True))
-        d = scenario.net_demands()[0]
-        assert np.all(A == 0.0)
-        assert E[0, 0] == 0.0          # taker interval: no draw
-        assert E[0, 1] == -d[1]        # giver interval: share everything
 
     def test_seed_determinism(self):
         scenario = make_scenario(
@@ -779,11 +784,6 @@ class TestGoldenSchedules:
         "shape, overrides, digest",
         [
             (
-                (3, 12, 4),
-                dict(cold_start=True, soc_grid=32, action_grid=5),
-                "8bc8c51862f4a32c73e7cee1039ceb380c3e782c8bcf0d02723f7ee7e58b8f49",
-            ),
-            (
                 (2, 6, 5),
                 dict(soc_grid=24, action_grid=5, terminal_soc_min=6.0),
                 "b0d64256b1e2ce0ddfeae40ab601feb488016b2de7af21ffd41269b4898b976b",
@@ -812,7 +812,6 @@ class TestGoldenSchedules:
             ),
         ],
         ids=[
-            "3x12-seed4-cold",
             "2x6-seed5-terminal",
             "3x8-seed1-draw",
             "3x8-seed5-draw",

@@ -6,7 +6,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridshare import Scenario, SynthShape, load_scenario, save_scenario, synth_scenario
+from gridshare import Scenario, load_scenario, save_scenario, synth_scenario
 from gridshare.errors import ScenarioValidationError
 from gridshare.scenario import SCHEMA_VERSION, scenario_from_dict
 
@@ -190,15 +190,6 @@ class TestSynth:
             synth_scenario(4, 24, seed=7).digest()
             != synth_scenario(4, 24, seed=8).digest()
         )
-
-    def test_zero_demand_amplitude_gives_degenerate_generation(self):
-        shape = SynthShape(demand_base=0.0, demand_peak=0.0)
-        scenario = synth_scenario(1, 12, seed=0, shape=shape)
-        # all net demand is non-positive, so the normalized curve vanishes
-        assert float(np.sum(scenario.tariff.generation)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-        assert not scenario.validate()
 
     def test_generation_matches_positive_net_demand(self):
         scenario = synth_scenario(5, 24, seed=3)
