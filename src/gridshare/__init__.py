@@ -16,16 +16,10 @@ from .battery import (
 from .billing import TariffParams, daily_bill, daily_bill_decomposed, unit_price
 from .decisions import (
     HouseholdProfile,
-    IntervalDecision,
-    Role,
     Schedule,
-    aggregated_load,
     audit_community,
-    classify,
     giver_bounds,
-    load,
     net_demand,
-    pool_build,
     replay_household,
     taker_bounds,
 )

@@ -137,7 +137,7 @@ def solve(scenario_path, out, baseline_only, **knobs):
     except OSError as exc:
         click.echo("error: cannot write report: %s" % exc, err=True)
         sys.exit(1)
-    click.echo(paths["summary"].read_text().rstrip())
+    click.echo(paths["summary"].read_text(encoding="utf-8").rstrip())
     if report.equilibrium is not None and not report.equilibrium.converged:
         sys.exit(2)
 
@@ -249,7 +249,7 @@ def certify(scenario_path, result_path):
         sys.exit(1)
     ok = True
     for h, gain in zip(scenario.households, gains):
-        status = "PASS" if gain <= eps + 1e-9 else "FAIL"
+        status = "PASS" if gain <= eps else "FAIL"
         ok = ok and status == "PASS"
         click.echo("%s deviation_gain=%.3g (eps=%.3g) %s" % (h.id, gain, eps, status))
     if not ok:

@@ -5,17 +5,16 @@ renewable output) fixes its role for the interval: net consumers are
 *takers*, net producers are *givers*.  Takers decide how to use the
 battery and how much to draw from the community pool; givers decide how
 much excess to offer to the pool, with the unshared remainder charged into
-their battery locally.  This module provides the role classification, the
-feasible regions for both roles, the resulting grid loads, and the
-pool/line-loss accounting, plus an independent re-checker that replays a
-full community state and validates every invariant.
+their battery locally.  This module provides the feasible regions for
+both roles and an independent re-checker that replays a full community
+state (roles, grid loads, SOC paths, the pool after line losses) and
+validates every invariant; it shares no code with the search in ``engine``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,22 +31,12 @@ from .errors import InfeasibleDecisionError, LengthMismatchError
 FEAS_TOL = 1e-9
 
 
-class Role(enum.Enum):
-    TAKER = "taker"
-    GIVER = "giver"
-
-
 def net_demand(d_bar, w, eta_inv: float):
     """Net demand: appliance demand minus inverter-corrected RE output.
 
     Works elementwise on arrays as well as on scalars.
     """
     return d_bar - eta_inv * w
-
-
-def classify(d: float) -> Role:
-    """Positive net demand makes a taker; zero or negative makes a giver."""
-    return Role.TAKER if d > 0.0 else Role.GIVER
 
 
 @dataclass
@@ -99,14 +88,6 @@ class HouseholdProfile:
         return problems
 
 
-@dataclass(frozen=True)
-class IntervalDecision:
-    """One interval's decision pair: battery action ``a`` and sharing ``e``."""
-
-    a: float
-    e: float
-
-
 @dataclass
 class Schedule:
     """A full day of decisions for one household."""
@@ -142,10 +123,10 @@ class TakerBounds:
     def e_min(self, a: float) -> float:
         return min(0.0, max(-self.d - a, -self.pool))
 
-    def contains(self, a: float, e: float, tol: float = FEAS_TOL) -> bool:
-        if not (self.a_min - tol <= a <= self.a_max + tol):
+    def contains(self, a: float, e: float) -> bool:
+        if not (self.a_min - FEAS_TOL <= a <= self.a_max + FEAS_TOL):
             return False
-        return self.e_min(a) - tol <= e <= tol
+        return self.e_min(a) - FEAS_TOL <= e <= FEAS_TOL
 
 
 @dataclass(frozen=True)
@@ -176,10 +157,10 @@ class GiverBounds:
         )
         return max(0.0, min(cap_rate, cap_soc))
 
-    def contains(self, a: float, e: float, tol: float = FEAS_TOL) -> bool:
-        if not (self.e_min - tol <= e <= self.e_max + tol):
+    def contains(self, a: float, e: float) -> bool:
+        if not (self.e_min - FEAS_TOL <= e <= self.e_max + FEAS_TOL):
             return False
-        return -tol <= a <= self.a_max(e) + tol
+        return -FEAS_TOL <= a <= self.a_max(e) + FEAS_TOL
 
 
 def taker_bounds(
@@ -216,20 +197,18 @@ def giver_bounds(
     bat: BatteryParams,
     eta_inv: float,
     dt: float,
-    min_offer: float = 0.0,
 ) -> GiverBounds:
     """Feasible (a, e) region for a giver at SOC ``s`` with net demand ``d``.
 
-    ``min_offer`` lets the solver keep the community pool solvent while the
-    other households' schedules are held fixed; it defaults to 0 so the
-    region matches the single-household constraints exactly.
+    The offer is bounded below by what the battery cannot absorb locally
+    (charging rate and SOC headroom); the pool plays no part here.
     """
     if d > 0.0:
         raise InfeasibleDecisionError("giver_bounds requires d <= 0, got %g" % d)
     phi = phi_plus(s, bat, dt)
     headroom = bat.s_max - s
     e_max = -d
-    e_min = max(0.0, -d - phi, -d - headroom / bat.eta_plus, min_offer)
+    e_min = max(0.0, -d - phi, -d - headroom / bat.eta_plus)
     e_min = min(e_min, e_max)
     return GiverBounds(
         e_min=e_min,
@@ -242,41 +221,17 @@ def giver_bounds(
     )
 
 
-def load(role: Role, d: float, dec: IntervalDecision) -> float:
-    """Grid load implied by a feasible decision: d + a + e for takers, a for givers."""
-    if role is Role.TAKER:
-        l = d + dec.a + dec.e
-    else:
-        l = dec.a
-    if l < -FEAS_TOL:
-        raise InfeasibleDecisionError(
-            "negative load %g from role=%s d=%g a=%g e=%g"
-            % (l, role.value, d, dec.a, dec.e)
-        )
-    return max(l, 0.0)
-
-
-def pool_build(offers, eta_bar: float) -> float:
-    """Shared-energy pool built from giver offers after line losses."""
-    return eta_bar * math.fsum(offers)
-
-
-def aggregated_load(loads) -> float:
-    """Total electricity requested from the utility at one interval."""
-    return math.fsum(loads)
-
-
 # ---------------------------------------------------------------------------
 # independent replay / re-checking
 
 
 @dataclass
 class HouseholdTrace:
-    """Replay of one household's schedule: loads, SOC path, roles."""
+    """Replay of one household's schedule: loads, SOC path, taker intervals."""
 
     loads: np.ndarray       # (T,)
     soc: np.ndarray         # (T+1,) interval-boundary SOC
-    roles: list = field(default_factory=list)
+    taker: np.ndarray       # (T,) bool: net demand > 0, else a giver
 
 
 def replay_household(
@@ -287,6 +242,7 @@ def replay_household(
 ) -> HouseholdTrace:
     """Re-simulate one household's schedule from scratch.
 
+    Positive net demand makes a taker; zero or negative makes a giver.
     Raises InfeasibleActionError / InfeasibleDecisionError if the schedule
     violates SOC bounds or leaves its role's feasible region (rate limits,
     SOC headroom, load >= 0) at the replayed SOC.  The pool is unbounded
@@ -295,33 +251,38 @@ def replay_household(
     horizon = len(schedule)
     d = net_demand(profile.demand, profile.re_output, eta_inv)
     bat = profile.battery
+    taker = d > 0.0
     loads = np.zeros(horizon)
     soc = np.zeros(horizon + 1)
-    roles = []
     s = float(profile.initial_soc)
     soc[0] = s
     for t in range(horizon):
         a = float(schedule.a[t])
         e = float(schedule.e[t])
         d_t = float(d[t])
-        role = classify(d_t)
-        roles.append(role)
-        if role is Role.TAKER:
+        role = "taker" if taker[t] else "giver"
+        if taker[t]:
             region = taker_bounds(s, d_t, math.inf, bat, eta_inv, dt)
+            l = d_t + a + e
         else:
             region = giver_bounds(s, d_t, bat, eta_inv, dt)
+            l = a
         if not region.contains(a, e):
             raise InfeasibleDecisionError(
                 "%s decision outside its feasible region (t=%d, a=%g, e=%g, "
-                "d=%g, soc=%g)" % (role.value, t, a, e, d_t, s)
+                "d=%g, soc=%g)" % (role, t, a, e, d_t, s)
             )
-        loads[t] = load(role, d_t, IntervalDecision(a, e))
-        if role is Role.TAKER:
+        if l < -FEAS_TOL:
+            raise InfeasibleDecisionError(
+                "negative load %g from role=%s d=%g a=%g e=%g" % (l, role, d_t, a, e)
+            )
+        loads[t] = max(l, 0.0)
+        if taker[t]:
             s = soc_next_taker(s, a, bat, eta_inv, dt)
         else:
             s = soc_next_giver(s, a, max(-d_t - e, 0.0), bat, eta_inv, dt)
         soc[t + 1] = s
-    return HouseholdTrace(loads=loads, soc=soc, roles=roles)
+    return HouseholdTrace(loads=loads, soc=soc, taker=taker)
 
 
 @dataclass
@@ -359,23 +320,17 @@ def audit_community(
     leftover = np.zeros(horizon)
     for t in range(horizon):
         offers = [
-            float(schedules[i].e[t])
-            for i in range(n)
-            if traces[i].roles[t] is Role.GIVER
+            float(schedules[i].e[t]) for i in range(n) if not traces[i].taker[t]
         ]
-        draws = [
-            -float(schedules[i].e[t])
-            for i in range(n)
-            if traces[i].roles[t] is Role.TAKER
-        ]
-        built = pool_build(offers, eta_bar)
+        draws = [-float(schedules[i].e[t]) for i in range(n) if traces[i].taker[t]]
+        built = eta_bar * math.fsum(offers)
         drawn = math.fsum(draws)
         if drawn > built + FEAS_TOL:
             raise InfeasibleDecisionError(
                 "pool overdrawn at t=%d: draws %g > %g available" % (t, drawn, built)
             )
         leftover[t] = max(0.0, built - drawn)
-    aggregated = np.array([aggregated_load(loads[:, t]) for t in range(horizon)])
+    aggregated = np.array([math.fsum(loads[:, t]) for t in range(horizon)])
     return CommunityTrace(
         loads=loads, soc=soc, aggregated=aggregated, pool_leftover=leftover
     )

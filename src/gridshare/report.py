@@ -17,8 +17,10 @@ Field names are frozen in docs/SCHEMA.md.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import datetime
+import io
 import json
 import math
 import time
@@ -169,7 +171,10 @@ def traces_table(report: RunReport) -> str:
         if eq is not None:
             header += ["%s_a" % hid, "%s_e" % hid, "%s_soc" % hid]
     d = scenario.net_demands()
-    rows = [",".join(header)]
+    buf = io.StringIO()
+    # a writer quotes a household id that holds a comma or a quote
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     for t in range(scenario.horizon):
         row = [
             str(t),
@@ -189,14 +194,13 @@ def traces_table(report: RunReport) -> str:
                     _fmt(eq.schedules[m].e[t]),
                     _fmt(eq.soc[m, t]),
                 ]
-        rows.append(",".join(row))
-    return "\n".join(rows) + "\n"
+        writer.writerow(row)
+    return buf.getvalue()
 
 
-def summary_text(report: RunReport, timestamp: str | None = None) -> str:
+def summary_text(report: RunReport) -> str:
     scenario = report.scenario
-    if timestamp is None:
-        timestamp = datetime.datetime.now().isoformat(timespec="seconds")
+    timestamp = datetime.datetime.now().isoformat(timespec="seconds")
     lines = [
         "gridshare run summary (%s)" % timestamp,
         "households: %d, intervals: %d (dt = %g h)"
@@ -227,7 +231,7 @@ def summary_text(report: RunReport, timestamp: str | None = None) -> str:
 
 
 def emit(report: RunReport, out_dir) -> dict:
-    """Write result.json, traces.csv, and summary.txt into ``out_dir``."""
+    """Write result.json, traces.csv, and summary.txt (UTF-8) into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -236,8 +240,9 @@ def emit(report: RunReport, out_dir) -> dict:
         "summary": out / "summary.txt",
     }
     paths["result"].write_text(
-        json.dumps(result_document(report), sort_keys=True, indent=2) + "\n"
+        json.dumps(result_document(report), sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
     )
-    paths["traces"].write_text(traces_table(report))
-    paths["summary"].write_text(summary_text(report))
+    paths["traces"].write_text(traces_table(report), encoding="utf-8")
+    paths["summary"].write_text(summary_text(report), encoding="utf-8")
     return paths

@@ -7,10 +7,8 @@ from gridshare import (
     BatteryParams,
     GameConfig,
     HouseholdProfile,
-    Role,
     Schedule,
     TariffParams,
-    classify,
     giver_bounds,
     net_demand,
     soc_next_giver,
@@ -87,7 +85,7 @@ def sample_schedules(scenario: Scenario, rng: np.random.Generator):
         e_row = np.zeros(horizon)
         s = h.initial_soc
         for t in range(horizon):
-            if classify(float(d[t])) is Role.TAKER:
+            if d[t] > 0.0:
                 box = taker_bounds(
                     s, float(d[t]), pool[t], h.battery, scenario.eta_inv, dt
                 )

@@ -1,11 +1,16 @@
+import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from gridshare import GameConfig
+from gridshare import GameConfig, cli
 from gridshare.cli import main
 
 
@@ -196,6 +201,29 @@ class TestSolveCommand:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "error: cannot write report" in result.output
 
+    def test_ids_with_comma_and_accent_under_c_locale(self, runner, tmp_path):
+        scen = synth_file(runner, tmp_path / "scen.yaml", households=2, intervals=2, seed=1)
+        data = yaml.safe_load(scen.read_text())
+        for household, hid in zip(data["households"], ["h,1", "h\u00e9"]):
+            household["id"] = hid
+        scen.write_text(yaml.safe_dump(data, allow_unicode=True), encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+        env.pop("PYTHONIOENCODING", None)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridshare.cli", "solve", "--scenario", str(scen)]
+            + ["--out", str(out), "--soc-grid", "5", "--action-grid", "5", "--seed", "1"],
+            env=env,
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        rows = list(csv.reader((out / "traces.csv").read_text(encoding="utf-8").splitlines()))
+        assert {"h,1_d", "h\u00e9_d"} <= set(rows[0])
+        assert len(rows) == 3
+        assert all(len(row) == len(rows[0]) for row in rows)
+
     def test_baseline_only(self, runner, tmp_path):
         scen = synth_file(runner, tmp_path / "scen.yaml")
         out = tmp_path / "out"
@@ -359,6 +387,18 @@ def _baseline_result(runner, tmp_path, **synth):
 def _certify(runner, scen, doc, path):
     path.write_text(json.dumps(doc))
     return runner.invoke(main, ["certify", "--scenario", str(scen), "--result", str(path)])
+
+
+@pytest.mark.parametrize(
+    "excess, code", [pytest.param(0.0, 0, id="at-eps"), pytest.param(5e-10, 2, id="above-eps")]
+)
+def test_certify_fails_any_gain_above_epsilon(runner, baseline_result, monkeypatch, excess, code):
+    scen, doc, path = baseline_result
+    eps = doc["config"]["epsilon"]
+    monkeypatch.setattr(cli, "deviation_gain", lambda *args: eps + excess)
+    result = _certify(runner, scen, doc, path)
+    assert result.exit_code == code, result.output
+    assert ("FAIL" in result.output) == (code == 2)
 
 
 def test_certify_checks_the_intact_baseline_document(runner, baseline_result):

@@ -1,27 +1,24 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridshare import (
-    IntervalDecision,
-    Role,
-    aggregated_load,
+    Schedule,
     audit_community,
-    classify,
     giver_bounds,
-    load,
     net_demand,
     phi_minus,
     phi_plus,
-    pool_build,
     taker_bounds,
 )
 from gridshare.errors import InfeasibleDecisionError
 
 from conftest import make_scenario, random_scenario, sample_schedules, simple_battery
+
+
+def _audit(scenario, schedules):
+    return audit_community(scenario.households, schedules, 0.95, 0.9, scenario.dt)
 
 
 class TestNetDemandAndRoles:
@@ -32,14 +29,16 @@ class TestNetDemandAndRoles:
         assert net_demand(1.7, 0.0, 0.95) == 1.7
 
     def test_exact_balance_is_giver(self):
-        d = net_demand(0.95, 1.0, 0.95)
-        assert d == pytest.approx(0.0, abs=1e-12)
-        assert classify(d) is Role.GIVER
-
-    def test_classify(self):
-        assert classify(1.05) is Role.TAKER
-        assert classify(0.0) is Role.GIVER
-        assert classify(-0.5) is Role.GIVER
+        # 0.95 - 0.95 * 1.0 is exactly 0: the replay treats it as a giver,
+        # whose load is its grid charge alone and who may not draw
+        scenario = make_scenario(
+            demands=[[0.95, 1.0]], re_outputs=[[1.0, 0.0]], generation=[1.0, 1.0]
+        )
+        assert scenario.net_demands()[0, 0] == 0.0
+        trace = _audit(scenario, [Schedule([0.2, 0.0], [0.0, 0.0])])
+        assert trace.loads[0] == pytest.approx([0.2, 1.0], abs=1e-12)
+        with pytest.raises(InfeasibleDecisionError, match="giver decision"):
+            _audit(scenario, [Schedule([0.0, 0.0], [-0.1, 0.0])])
 
     def test_elementwise_on_arrays(self):
         d = net_demand(np.array([2.0, 0.0]), np.array([1.0, 1.0]), 0.95)
@@ -121,31 +120,51 @@ class TestGiverBounds:
             giver_bounds(5.0, 0.1, bat, 0.95, 1.0)
 
 
+def _hand_built_day():
+    """h1 takes (d = 1.0) and h2 gives (d = -0.95) in both intervals."""
+    scenario = make_scenario(
+        demands=[[1.0, 1.0], [0.0, 0.0]],
+        re_outputs=[[0.0, 0.0], [1.0, 1.0]],
+        generation=[1.0, 1.0],
+    )
+    return _audit(
+        scenario,
+        [Schedule([0.5, -1.0], [-0.2, 0.0]), Schedule([0.3, 0.0], [0.5, 0.95])],
+    )
+
+
 class TestLoadsAndPool:
+    """Loads, pool and aggregate as the replay computes them."""
+
     def test_taker_load(self):
-        assert load(Role.TAKER, 1.05, IntervalDecision(0.5, -0.8)) == pytest.approx(
-            0.75, abs=1e-12
-        )
+        # d + a + e
+        assert _hand_built_day().loads[0, 0] == pytest.approx(1.3, abs=1e-12)
 
     def test_giver_load_is_grid_charge_only(self):
-        assert load(Role.GIVER, -2.0, IntervalDecision(0.3, 1.5)) == 0.3
+        assert _hand_built_day().loads[1] == pytest.approx([0.3, 0.0], abs=1e-12)
 
     def test_fully_self_supplied_taker(self):
-        assert load(Role.TAKER, 1.0, IntervalDecision(-1.0, 0.0)) == 0.0
+        # a = -d covers the whole net demand
+        assert _hand_built_day().loads[0, 1] == 0.0
 
     def test_negative_load_rejected(self):
-        with pytest.raises(InfeasibleDecisionError):
-            load(Role.TAKER, 1.0, IntervalDecision(-1.0, -0.5))
+        # a and e each sit inside the region's slack, but d + a + e does not
+        scenario = make_scenario(
+            demands=[[1.0, 1.0]], re_outputs=[[0.0, 0.0]], generation=[1.0, 1.0]
+        )
+        slack = 0.9e-9
+        schedule = Schedule([-1.0 - slack, 0.0], [-slack, 0.0])
+        with pytest.raises(InfeasibleDecisionError, match="negative load"):
+            _audit(scenario, [schedule])
 
-    def test_pool_build(self):
-        assert pool_build([1.0, 0.5], 0.9) == pytest.approx(1.35, abs=1e-12)
-        assert pool_build([], 0.9) == 0.0
-        assert pool_build([2.0], 1.0) == 2.0
+    def test_pool_leftover(self):
+        # eta_bar * offers - draws
+        assert _hand_built_day().pool_leftover == pytest.approx(
+            [0.9 * 0.5 - 0.2, 0.9 * 0.95], abs=1e-12
+        )
 
-    def test_aggregated_load(self):
-        assert aggregated_load([0.75, 0.3, 0.0, 1.2]) == pytest.approx(2.25)
-        assert aggregated_load([0.0, 0.0]) == 0.0
-        assert aggregated_load([0.4]) == 0.4
+    def test_aggregate(self):
+        assert _hand_built_day().aggregated == pytest.approx([1.6, 0.0], abs=1e-12)
 
 
 def _assert_taker_point_feasible(s, d, pool, a, e, bat, eta_inv, dt, tol=1e-9):
@@ -201,18 +220,6 @@ class TestRegionProperties:
         assert box.contains(a, e)
         _assert_giver_point_feasible(s, d, a, e, bat, 0.95, 1.0)
 
-    @settings(max_examples=100)
-    @given(
-        d=st.floats(min_value=-3.0, max_value=3.0),
-        a=st.floats(min_value=-2.0, max_value=2.0),
-        e=st.floats(min_value=-2.0, max_value=2.0),
-    )
-    def test_classification_ignores_decisions(self, d, a, e):
-        assert classify(d) is classify(d)  # pure in d
-        role_before = classify(d)
-        _ = (a, e)  # decisions play no part
-        assert classify(d) is role_before
-
 
 class TestCommunityReplay:
     def test_random_feasible_schedules_pass_audit(self, rng):
@@ -238,8 +245,6 @@ class TestCommunityReplay:
             re_outputs=[[0.0, 0.0], [1.0, 1.0]],
             generation=[1.0, 1.0],
         )
-        from gridshare import Schedule
-
         # taker draws 0.95 but the pool only holds 0.9 * 0.95
         schedules = [
             Schedule([0.0, 0.0], [-0.95, 0.0]),
@@ -265,8 +270,6 @@ class TestCommunityReplay:
             re_outputs=[[re_output] * horizon],
             generation=[1.0] * horizon,
         )
-        from gridshare import Schedule
-
         schedule = Schedule([a] + [0.0] * (horizon - 1), [0.0] + [e] * (horizon - 1))
         with pytest.raises(InfeasibleDecisionError, match="feasible region"):
             audit_community(scenario.households, [schedule], 0.95, 0.9, scenario.dt)
@@ -275,8 +278,6 @@ class TestCommunityReplay:
         scenario = make_scenario(
             demands=[[1.0, 1.0]], re_outputs=[[0.0, 0.0]], generation=[1.0, 1.0]
         )
-        from gridshare import Schedule
-
         with pytest.raises(InfeasibleDecisionError):
             audit_community(
                 scenario.households,

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import math
 
@@ -5,7 +7,6 @@ import numpy as np
 import pytest
 
 from gridshare import GameConfig, TariffParams, daily_bill, run, synth_scenario
-from gridshare.decisions import IntervalDecision, Role, load
 from gridshare.report import (
     baseline_loads,
     emit,
@@ -33,9 +34,8 @@ class TestBaseline:
         d = scenario.net_demands()
         for m in range(scenario.n_households):
             for t in range(scenario.horizon):
-                dt_val = float(d[m, t])
-                role = Role.TAKER if dt_val > 0 else Role.GIVER
-                expected = load(role, dt_val, IntervalDecision(0.0, 0.0))
+                # a = e = 0: a taker's load d + a + e is d, a giver's a is 0
+                expected = d[m, t] if d[m, t] > 0.0 else 0.0
                 assert loads[m, t] == pytest.approx(expected, abs=1e-12)
 
     def test_tracking_error_definition(self):
@@ -110,6 +110,20 @@ class TestEmission:
         # full-precision floats round-trip
         value = lines[1].split(",")[1]
         assert float(value) == report.scenario.tariff.generation[0]
+
+    def test_traces_quote_ids_with_commas(self, small_report):
+        scenario, report = small_report
+        households = [
+            dataclasses.replace(h, id=hid)
+            for h, hid in zip(scenario.households, ["h,1", "h\u00e9"])
+        ]
+        renamed = dataclasses.replace(
+            report, scenario=dataclasses.replace(scenario, households=households)
+        )
+        rows = list(csv.reader(traces_table(renamed).splitlines()))
+        assert "h,1_d" in rows[0] and "h\u00e9_soc" in rows[0]
+        assert len(rows) == 1 + scenario.horizon
+        assert all(len(row) == len(rows[0]) == 15 for row in rows)
 
     def test_summary_mentions_convergence(self, small_report, tmp_path):
         _, report = small_report
