@@ -26,27 +26,10 @@ class TariffParams:
     generation: np.ndarray
 
     def __post_init__(self):
-        # None stands for a series the scenario parser found mistyped and
-        # listed; validate() skips it
+        # None stands for a field the scenario parser could not read and
+        # listed; Scenario.validate skips it
         if self.generation is not None:
             self.generation = np.asarray(self.generation, dtype=float)
-
-    def validate(self, horizon: int) -> list:
-        problems = []
-        if not 0.0 < self.p0 < math.inf:
-            problems.append("tariff.p0: must be finite and > 0, got %g" % self.p0)
-        if self.generation is None:
-            return problems
-        if len(self.generation) != horizon:
-            problems.append(
-                "tariff.generation: expected %d entries, got %d"
-                % (horizon, len(self.generation))
-            )
-        if not np.all(np.isfinite(self.generation)):
-            problems.append("tariff.generation: entries must be finite")
-        elif np.any(self.generation < 0):
-            problems.append("tariff.generation: entries must be >= 0")
-        return problems
 
 
 def unit_price(aggregated: float, generation: float, p0: float) -> float:

@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from .decisions import Schedule, audit_community
-from .engine import GameConfig, deviation_gain
+from .engine import TERMINAL_TOL, GameConfig, deviation_gain
 from .errors import GridShareError, ScenarioValidationError
 from .report import RESULT_SCHEMA_VERSION, emit, run
 from .scenario import load_scenario, number_series, save_scenario, synth_scenario
@@ -212,7 +212,7 @@ def _read_result(doc, scenario):
         short = [
             "%s ends at %.6g kWh" % (h.id, soc[-1])
             for h, soc in zip(scenario.households, trace.soc)
-            if soc[-1] < floor - 1e-9
+            if soc[-1] < floor - TERMINAL_TOL
         ]
         if short:
             raise GridShareError(

@@ -50,42 +50,12 @@ class HouseholdProfile:
     initial_soc: float
 
     def __post_init__(self):
-        # None stands for a series the scenario parser found mistyped and
-        # listed; validate() skips it
+        # None stands for a field the scenario parser could not read and
+        # listed; Scenario.validate skips it
         if self.demand is not None:
             self.demand = np.asarray(self.demand, dtype=float)
         if self.re_output is not None:
             self.re_output = np.asarray(self.re_output, dtype=float)
-
-    def validate(self, horizon: int) -> list:
-        """Return a list of human-readable invariant violations (maybe empty)."""
-        problems = []
-        prefix = "households[%s]" % self.id
-        for name, series in (("demand", self.demand), ("re_output", self.re_output)):
-            if series is None:
-                continue
-            if len(series) != horizon:
-                problems.append(
-                    "%s.%s: expected %d entries, got %d"
-                    % (prefix, name, horizon, len(series))
-                )
-            if not np.all(np.isfinite(series)):
-                problems.append("%s.%s: entries must be finite" % (prefix, name))
-            elif np.any(series < 0):
-                problems.append("%s.%s: entries must be >= 0" % (prefix, name))
-        if not (
-            self.battery.s_min <= self.initial_soc <= self.battery.s_max
-        ):
-            problems.append(
-                "%s.initial_soc: %g outside [%g, %g]"
-                % (
-                    prefix,
-                    self.initial_soc,
-                    self.battery.s_min,
-                    self.battery.s_max,
-                )
-            )
-        return problems
 
 
 @dataclass

@@ -46,10 +46,14 @@ from .decisions import Schedule, audit_community
 from .errors import GridShareError, InfeasibleConfigError
 from .scenario import Scenario
 
-_TERMINAL_TOL = 1e-9
+#: slack below terminal_soc_min that a final SOC may end at, here and in certify
+TERMINAL_TOL = 1e-9
 _REFINE_ROUNDS = 26  # local-grid rounds after the uniform round 0
 _EXACT_CAP = 20000  # max candidate-tree leaves for exhaustive mode
 _MAX_BLOCK = 10**7  # max cells of one (state, P, Q) stage block
+_LOCAL_POINTS = 41  # cap on the local SOC points of a refinement round
+_ANCHORS = 9  # uniform SOC points added to every local grid
+_OFFSETS = 7  # extra actions around the incumbent in a refinement round
 
 
 @dataclass(frozen=True)
@@ -74,11 +78,14 @@ class GameConfig:
             raise GridShareError("action_grid must be >= 3")
         # the largest block a grid-mode _respond builds is a taker's, (states,
         # n_act + 1 + extras, n_act + extras): round 0 has soc_grid states and
-        # 1 extra, a later round at most min(soc_grid, 41) + 10 states and 7,
-        # and a floor adds a state; exhaustive blocks stay under _EXACT_CAP
+        # 1 extra, a later round at most min(soc_grid, _LOCAL_POINTS) +
+        # _ANCHORS + 1 (the center) states and _OFFSETS extras, and a floor
+        # adds a state; exhaustive blocks stay under _EXACT_CAP
         n, k = self.soc_grid, self.action_grid
+        local_states = min(n, _LOCAL_POINTS) + _ANCHORS + 2
         cells = max(
-            (n + 1) * (k + 2) * (k + 1), (min(n, 41) + 11) * (k + 8) * (k + 7)
+            (n + 1) * (k + 2) * (k + 1),
+            local_states * (k + 1 + _OFFSETS) * (k + _OFFSETS),
         )
         if cells > _MAX_BLOCK:
             raise GridShareError(
@@ -330,7 +337,7 @@ def _soc_trajectory(env: _Env, a: np.ndarray, e: np.ndarray) -> np.ndarray:
 def _terminal_values(env: _Env, grid: np.ndarray) -> np.ndarray:
     v = np.zeros(len(grid))
     if env.terminal_min is not None:
-        v[grid < env.terminal_min - _TERMINAL_TOL] = np.inf
+        v[grid < env.terminal_min - TERMINAL_TOL] = np.inf
     return v
 
 
@@ -419,8 +426,8 @@ def _uniform_grid(env: _Env, n: int) -> np.ndarray:
 
 def _local_grids(env: _Env, soc_traj: np.ndarray, n: int, sigma: float):
     # locality buys more precision than raw grid size, so cap the count
-    n = min(n, 41)
-    anchors = _uniform_grid(env, min(n, 9))
+    n = min(n, _LOCAL_POINTS)
+    anchors = _uniform_grid(env, min(n, _ANCHORS))
     grids = [None] * (env.horizon + 1)
     for t in range(1, env.horizon + 1):
         center = soc_traj[t]
@@ -452,7 +459,7 @@ def _respond(scenario, A, E, m, config):
     best_a, best_e = A[m], E[m]
     old_bill = best_bill = _bill_of(env, best_a, best_e)
     if env.terminal_min is not None:
-        if _soc_trajectory(env, best_a, best_e)[-1] < env.terminal_min - _TERMINAL_TOL:
+        if _soc_trajectory(env, best_a, best_e)[-1] < env.terminal_min - TERMINAL_TOL:
             old_bill = best_bill = math.inf
     if _exhaustive(env.taker, n_act, _EXACT_CAP):
         none = np.zeros((env.horizon, 0))
@@ -471,7 +478,7 @@ def _respond(scenario, A, E, m, config):
                 sigma = span * 0.5**k
                 traj = _soc_trajectory(env, best_a, best_e)
                 grids = _local_grids(env, traj, config.soc_grid, sigma)
-                offsets = sigma * np.linspace(-1.0, 1.0, 7)
+                offsets = sigma * np.linspace(-1.0, 1.0, _OFFSETS)
             extras_a = best_a[:, None] + offsets
             extras_e = best_e[:, None] + offsets
             a, e = _dp(env, grids, n_act, extras_a, extras_e)
@@ -515,7 +522,8 @@ def _check_config(scenario: Scenario, config: GameConfig) -> GameConfig:
     ``_EXACT_CAP``, since that search is exact; else twice the game's
     ``soc_grid`` and ``action_grid``.  That is 2x finer in actions, but in
     SOC only in refinement round 0 once ``soc_grid`` exceeds 20, since
-    :func:`_local_grids` caps every later round at 41 points plus 9 anchors.
+    :func:`_local_grids` caps every later round at ``_LOCAL_POINTS`` points
+    plus ``_ANCHORS`` anchors.
     Those grids meet GameConfig's stage-block bound or raise GridShareError.
     """
     n_act = config.action_grid

@@ -161,40 +161,29 @@ def _fmt(value: float) -> str:
 def traces_table(report: RunReport) -> str:
     """The traces.csv content: one row per interval, full-precision floats."""
     scenario = report.scenario
-    ids = [h.id for h in scenario.households]
     eq = report.equilibrium
-    header = ["t", "g", "baseline_load"]
+    columns = [
+        ("g", scenario.tariff.generation),
+        ("baseline_load", report.baseline.aggregated),
+    ]
     if eq is not None:
-        header += ["equilibrium_load", "pool"]
-    for hid in ids:
-        header += ["%s_d" % hid, "%s_load" % hid]
-        if eq is not None:
-            header += ["%s_a" % hid, "%s_e" % hid, "%s_soc" % hid]
+        columns += [("equilibrium_load", eq.aggregated), ("pool", eq.pool)]
+    loads = report.baseline.loads if eq is None else eq.loads
     d = scenario.net_demands()
+    for m, h in enumerate(scenario.households):
+        columns += [("%s_d" % h.id, d[m]), ("%s_load" % h.id, loads[m])]
+        if eq is not None:
+            columns += [
+                ("%s_a" % h.id, eq.schedules[m].a),
+                ("%s_e" % h.id, eq.schedules[m].e),
+                ("%s_soc" % h.id, eq.soc[m]),  # T + 1 entries; zip stops at T
+            ]
     buf = io.StringIO()
     # a writer quotes a household id that holds a comma or a quote
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for t in range(scenario.horizon):
-        row = [
-            str(t),
-            _fmt(scenario.tariff.generation[t]),
-            _fmt(report.baseline.aggregated[t]),
-        ]
-        if eq is not None:
-            row += [_fmt(eq.aggregated[t]), _fmt(eq.pool[t])]
-        for m, hid in enumerate(ids):
-            if eq is None:
-                row += [_fmt(d[m, t]), _fmt(report.baseline.loads[m, t])]
-            else:
-                row += [
-                    _fmt(d[m, t]),
-                    _fmt(eq.loads[m, t]),
-                    _fmt(eq.schedules[m].a[t]),
-                    _fmt(eq.schedules[m].e[t]),
-                    _fmt(eq.soc[m, t]),
-                ]
-        writer.writerow(row)
+    writer.writerow(["t"] + [name for name, _ in columns])
+    for t, values in enumerate(zip(*(series for _, series in columns))):
+        writer.writerow([str(t)] + [_fmt(v) for v in values])
     return buf.getvalue()
 
 

@@ -44,24 +44,43 @@ class Scenario:
         return len(self.households)
 
     def validate(self) -> list:
-        """Return all invariant violations as human-readable strings."""
+        """Return all invariant violations as human-readable strings.
+
+        A None field is one the parser could not read and already listed,
+        so it is skipped along with every check that depends on it.
+        """
         problems = []
-        if not _is_count(self.horizon):
-            problems.append("T: must be a positive integer, got %r" % self.horizon)
-            return problems
-        if not (0.0 < self.eta_inv <= 1.0):
-            problems.append("eta_inv: must be in (0, 1], got %g" % self.eta_inv)
-        if not (0.0 < self.eta_bar <= 1.0):
-            problems.append("eta_bar: must be in (0, 1], got %g" % self.eta_bar)
-        problems.extend(self.tariff.validate(self.horizon))
-        if not self.households:
+        horizon = self.horizon if _is_count(self.horizon) else None
+        if horizon is None:
+            problems.append(
+                "T: must be a positive integer, got %s" % _brief(self.horizon)
+            )
+        for name, eta in (("eta_inv", self.eta_inv), ("eta_bar", self.eta_bar)):
+            if eta is not None and not 0.0 < eta <= 1.0:
+                problems.append("%s: must be in (0, 1], got %g" % (name, eta))
+        tariff = self.tariff
+        if tariff is not None:
+            if tariff.p0 is not None and not 0.0 < tariff.p0 < math.inf:
+                problems.append("tariff.p0: must be finite and > 0, got %g" % tariff.p0)
+            _check_series(tariff.generation, "tariff.generation", horizon, problems)
+        if self.households == []:
             problems.append("households: at least one household is required")
         seen = set()
-        for profile in self.households:
-            if profile.id in seen:
-                problems.append("households[%s]: duplicate id" % profile.id)
-            seen.add(profile.id)
-            problems.extend(profile.validate(self.horizon))
+        for h in self.households or ():
+            if h is None:
+                continue
+            path = "households[%s]" % h.id
+            if h.id in seen:
+                problems.append("%s: duplicate id" % path)
+            seen.add(h.id)
+            _check_series(h.demand, path + ".demand", horizon, problems)
+            _check_series(h.re_output, path + ".re_output", horizon, problems)
+            bat, soc = h.battery, h.initial_soc
+            if None not in (bat, soc) and not bat.s_min <= soc <= bat.s_max:
+                problems.append(
+                    "%s.initial_soc: %g outside [%g, %g]"
+                    % (path, soc, bat.s_min, bat.s_max)
+                )
         return problems
 
     def check(self):
@@ -122,7 +141,7 @@ def number_series(value):
     """``value`` as a 1-D float array, or None if it is not a list of numbers.
 
     Booleans, strings, nested lists and mappings are rejected; non-finite
-    entries pass here and are left to the model validators.
+    entries pass here and are left to :meth:`Scenario.validate`.
     """
     try:
         array = np.asarray(value)
@@ -133,8 +152,22 @@ def number_series(value):
     return array.astype(float, copy=False)
 
 
-def _number(value, path, problems, fallback):
-    """``value`` as a finite float; else list a violation, return ``fallback``."""
+def _check_series(series, path, horizon, problems):
+    """List a series' violations; its length is checked if ``horizon`` is known."""
+    if series is None:
+        return
+    if horizon is not None and len(series) != horizon:
+        problems.append(
+            "%s: expected %d entries, got %d" % (path, horizon, len(series))
+        )
+    if not np.all(np.isfinite(series)):
+        problems.append("%s: entries must be finite" % path)
+    elif np.any(series < 0):
+        problems.append("%s: entries must be >= 0" % path)
+
+
+def _number(value, path, problems):
+    """``value`` as a finite float; else list a violation and return None."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             number = float(value)
@@ -143,14 +176,13 @@ def _number(value, path, problems, fallback):
         if math.isfinite(number):
             return number
     problems.append("%s: must be a finite number, got %s" % (path, _brief(value)))
-    return fallback
+    return None
 
 
 def _series(value, path, problems):
     """``value`` as a float array; else list a violation and return None.
 
-    The model checks skip a None series, so it is listed once, and the
-    stand-in costs nothing however large T is.
+    Its range is left to :meth:`Scenario.validate`, which skips a None.
     """
     array = number_series(value)
     if array is None:
@@ -158,16 +190,32 @@ def _series(value, path, problems):
     return array
 
 
-def _battery_from_dict(data, path: str, problems: list):
-    keys = [f.name for f in fields(BatteryParams)]
-    if not isinstance(data, dict):
-        problems.append("%s: must be a mapping, got %s" % (path, _brief(data)))
+def _mapping(value, path, problems):
+    """``value`` if it is a mapping; else list a violation and return None."""
+    if isinstance(value, dict):
+        return value
+    problems.append("%s: must be a mapping, got %s" % (path, _brief(value)))
+    return None
+
+
+def _tariff_from_dict(data, problems: list):
+    if _mapping(data, "tariff", problems) is None:
         return None
+    return TariffParams(
+        p0=_number(data.get("p0"), "tariff.p0", problems),
+        generation=_series(data.get("generation"), "tariff.generation", problems),
+    )
+
+
+def _battery_from_dict(data, path: str, problems: list):
+    if _mapping(data, path, problems) is None:
+        return None
+    keys = [f.name for f in fields(BatteryParams)]
     missing = [k for k in keys if k not in data]
     if missing:
         problems.append("%s: missing fields %s" % (path, ", ".join(missing)))
         return None
-    values = {k: _number(data[k], "%s.%s" % (path, k), problems, None) for k in keys}
+    values = {k: _number(data[k], "%s.%s" % (path, k), problems) for k in keys}
     if None in values.values():
         return None
     try:
@@ -177,22 +225,17 @@ def _battery_from_dict(data, path: str, problems: list):
         return None
 
 
-def _household_from_dict(hdata: dict, i: int, problems: list) -> HouseholdProfile:
-    path = "households[%d]" % i
-    battery = _battery_from_dict(hdata.get("battery", {}), path + ".battery", problems)
-    if battery is None:
-        battery = residential_battery()
+def _household_from_dict(hdata, i: int, problems: list):
+    if _mapping(hdata, "households[%d]" % i, problems) is None:
+        return None
+    hid = str(hdata.get("id", i))
+    path = "households[%s]" % hid
     return HouseholdProfile(
-        id=str(hdata.get("id", i)),
-        demand=_series(hdata.get("demand", []), path + ".demand", problems),
-        re_output=_series(hdata.get("re_output", []), path + ".re_output", problems),
-        battery=battery,
-        initial_soc=_number(
-            hdata.get("initial_soc", battery.s_min),
-            path + ".initial_soc",
-            problems,
-            battery.s_min,
-        ),
+        id=hid,
+        demand=_series(hdata.get("demand"), path + ".demand", problems),
+        re_output=_series(hdata.get("re_output"), path + ".re_output", problems),
+        battery=_battery_from_dict(hdata.get("battery"), path + ".battery", problems),
+        initial_soc=_number(hdata.get("initial_soc"), path + ".initial_soc", problems),
     )
 
 
@@ -200,49 +243,34 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Build and fully validate a Scenario from a plain dict.
 
     Collects every violation before raising, so a bad file is reported in
-    one pass.  A field of the wrong type is listed and replaced by a
-    harmless stand-in (None for a series), so the remaining checks still run.
+    one pass.  A field that is missing, has the wrong type or sits inside
+    a non-mapping is listed once and set to None, and
+    :meth:`Scenario.validate` skips it and the checks that depend on it.
+    A household without an ``id`` takes its index as its id.
     """
-    problems = []
     if not isinstance(data, dict):
         raise ScenarioValidationError(["document root must be a mapping"])
+    problems = []
     version = data.get("schema_version")
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         problems.append(
             "schema_version: expected %d, got %s" % (SCHEMA_VERSION, _brief(version))
         )
-    horizon = data.get("T")
-    if not _is_count(horizon):
-        problems.append("T: must be a positive integer, got %s" % _brief(horizon))
-        raise ScenarioValidationError(problems)
-    tariff_data = data.get("tariff") or {}
-    if not isinstance(tariff_data, dict):
-        problems.append("tariff: must be a mapping, got %s" % _brief(tariff_data))
-        tariff_data = {}
-    tariff = TariffParams(
-        p0=_number(tariff_data.get("p0", 0.0), "tariff.p0", problems, 1.0),
-        generation=_series(
-            tariff_data.get("generation", []), "tariff.generation", problems
-        ),
-    )
-    entries = data.get("households") or []
-    if not isinstance(entries, list):
+    tariff = _tariff_from_dict(data.get("tariff"), problems)
+    entries = data.get("households")
+    households = None
+    if isinstance(entries, list):
+        households = [
+            _household_from_dict(hdata, i, problems) for i, hdata in enumerate(entries)
+        ]
+    else:
         problems.append("households: must be a list, got %s" % _brief(entries))
-        entries = []
-    households = []
-    for i, hdata in enumerate(entries):
-        if isinstance(hdata, dict):
-            households.append(_household_from_dict(hdata, i, problems))
-        else:
-            problems.append(
-                "households[%d]: must be a mapping, got %s" % (i, _brief(hdata))
-            )
     scenario = Scenario(
         households=households,
         tariff=tariff,
-        eta_inv=_number(data.get("eta_inv", 0.0), "eta_inv", problems, 1.0),
-        eta_bar=_number(data.get("eta_bar", 0.0), "eta_bar", problems, 1.0),
-        horizon=horizon,
+        eta_inv=_number(data.get("eta_inv"), "eta_inv", problems),
+        eta_bar=_number(data.get("eta_bar"), "eta_bar", problems),
+        horizon=data.get("T"),
     )
     problems.extend(scenario.validate())
     if problems:

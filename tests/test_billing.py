@@ -9,6 +9,8 @@ from gridshare import TariffParams, daily_bill, daily_bill_decomposed, unit_pric
 from gridshare.billing import community_bills
 from gridshare.errors import LengthMismatchError
 
+from conftest import make_scenario
+
 load_series = st.lists(
     st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=96
 )
@@ -119,9 +121,11 @@ class TestExternalityDirection:
             assert after <= before
 
     def test_tariff_validation(self):
-        tariff = TariffParams(p0=-1.0, generation=[1.0, -2.0])
-        problems = tariff.validate(3)
+        scenario = make_scenario([[1.0] * 3], [[0.0] * 3], [1.0] * 3)
+        scenario.tariff = TariffParams(p0=-1.0, generation=[1.0, -2.0])
+        problems = scenario.validate()
         assert len(problems) == 3
+        assert all(p.startswith("tariff.") for p in problems), problems
 
 
 class TestCommunityBills:

@@ -89,36 +89,79 @@ class TestLoading:
         assert any("parse error" in p for p in exc.value.problems)
 
 
-def _with(path, value):
-    """minimal_doc() with the entry at ``path`` (a key tuple) set to ``value``."""
+_DROP = object()  # an edit value that deletes the key
+
+
+def _edited(*edits):
+    """minimal_doc() with each (path, value) edit applied; a path is a key tuple."""
     doc = minimal_doc()
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    for path, value in edits:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
     return doc
 
 
+def _with(path, value):
+    """minimal_doc() with the entry at ``path`` set to ``value``."""
+    return _edited((path, value))
+
+
+def _one(path, value, field, case_id):
+    return pytest.param([(path, value)], [field + ":"], id=case_id)
+
+
+H1 = ("households", 0)
 MALFORMED = [
-    pytest.param(("households", 0, "demand"), [1.0, math.nan], "demand", id="nan-demand"),
-    pytest.param(("households", 0, "demand"), [math.inf, 1.0], "demand", id="inf-demand"),
-    pytest.param(("households", 0, "re_output"), [math.nan, 0.0], "re_output", id="nan-re"),
-    pytest.param(("households", 0, "re_output"), [0.0, -math.inf], "re_output", id="inf-re"),
-    pytest.param(("tariff", "generation"), [math.nan, 1.0], "generation", id="nan-gen"),
-    pytest.param(("tariff", "generation"), [1.0, math.inf], "generation", id="inf-gen"),
-    pytest.param(("eta_inv",), "abc", "eta_inv", id="text-eta-inv"),
-    pytest.param(("households", 0, "demand"), "x", "demand", id="text-demand"),
-    pytest.param(("tariff", "generation"), {"a": 1.0}, "generation", id="mapping-gen"),
-    pytest.param(("households", 0), 5, "households[0]", id="household-not-mapping"),
-    pytest.param(("T",), True, "T", id="bool-horizon"),
+    _one(H1 + ("demand",), [1.0, math.nan], "households[h1].demand", "nan-demand"),
+    _one(H1 + ("demand",), [math.inf, 1.0], "households[h1].demand", "inf-demand"),
+    _one(H1 + ("re_output",), [math.nan, 0.0], "households[h1].re_output", "nan-re"),
+    _one(H1 + ("re_output",), [0.0, -math.inf], "households[h1].re_output", "inf-re"),
+    _one(("tariff", "generation"), [math.nan, 1.0], "tariff.generation", "nan-gen"),
+    _one(("tariff", "generation"), [1.0, math.inf], "tariff.generation", "inf-gen"),
+    _one(("eta_inv",), "abc", "eta_inv", "text-eta-inv"),
+    _one(H1 + ("demand",), "x", "households[h1].demand", "text-demand"),
+    _one(("tariff", "generation"), {"a": 1.0}, "tariff.generation", "mapping-gen"),
+    _one(H1, 5, "households[0]", "household-not-mapping"),
+    _one(("T",), True, "T", "bool-horizon"),
+    _one(("tariff",), 5, "tariff", "tariff-not-mapping"),
+    _one(("households",), {"a": 1}, "households", "households-not-list"),
+    # a missing key is listed as unreadable, not range-checked as a stand-in
+    pytest.param(
+        [(("eta_inv",), _DROP)], ["eta_inv: must be a finite number"], id="missing-eta-inv"
+    ),
+    # the invalid battery is listed; initial_soc has no bounds to be checked against
+    pytest.param(
+        [
+            (H1 + ("battery", "rho_plus"), -1.0),
+            (H1 + ("battery", "s_max"), 20.0),
+            (H1 + ("initial_soc",), 15.0),
+        ],
+        ["households[h1].battery:"],
+        id="invalid-battery",
+    ),
+    # two corrupt fields of one household, both named by its id
+    pytest.param(
+        [(H1 + ("demand",), "x"), (H1 + ("re_output",), [-1.0, 0.0])],
+        ["households[h1].demand:", "households[h1].re_output:"],
+        id="demand-and-re",
+    ),
 ]
 
 
-@pytest.mark.parametrize("path, value, field", MALFORMED)
-def test_malformed_field_is_listed(path, value, field):
+@pytest.mark.parametrize("edits, prefixes", MALFORMED)
+def test_malformed_field_is_listed(edits, prefixes):
+    """Each unreadable or out-of-range field yields exactly one problem."""
     with pytest.raises(ScenarioValidationError) as exc:
-        scenario_from_dict(_with(path, value))
-    assert sum(field in p for p in exc.value.problems) == 1, exc.value.problems
+        scenario_from_dict(_edited(*edits))
+    problems = exc.value.problems
+    assert len(problems) == len(prefixes), problems
+    for prefix in prefixes:
+        assert sum(p.startswith(prefix) for p in problems) == 1, problems
 
 
 FIELD_NAMES = [
