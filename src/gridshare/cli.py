@@ -142,13 +142,13 @@ def solve(scenario_path, out, baseline_only, **knobs):
         sys.exit(2)
 
 
-def _json_type_ok(value, default) -> bool:
-    """Whether a JSON value has the type of a GameConfig field's default."""
+def _json_value_ok(value, default) -> bool:
+    """Whether a JSON value fits a GameConfig field: its type, a finite float."""
     if value is None:
         return default is None
     if isinstance(default, int):
         return type(value) is int  # a JSON bool is not an int here
-    return type(value) in (int, float)
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _config_from_doc(cfg) -> GameConfig:
@@ -158,8 +158,8 @@ def _config_from_doc(cfg) -> GameConfig:
     for name, value in cfg.items():
         if name not in defaults:
             raise GridShareError("unknown config key %r" % name)
-        if not _json_type_ok(value, defaults[name]):
-            raise GridShareError("config.%s: wrong type, got %r" % (name, value))
+        if not _json_value_ok(value, defaults[name]):
+            raise GridShareError("config.%s: invalid value %r" % (name, value))
     missing = [name for name in defaults if name not in cfg]
     if missing:
         raise GridShareError("config is missing %s" % ", ".join(missing))

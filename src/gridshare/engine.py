@@ -171,16 +171,18 @@ class _Env:
     def floor_path(self) -> list:
         """Lowest SOC per interval from which the candidates reach the floor.
 
-        Entry t >= 1 is a SOC whose highest candidate successor is at least
-        entry t + 1; the last entry is ``terminal_min``, entry 0 is None,
-        and a stage no SOC gets through leaves it and the earlier entries
-        None.  Four rounds of a 33-point scan put each entry within
-        span / 32**4 above the true boundary.  :func:`_dp` adds the entries
-        to its grids, so interpolation beside the inf cells, which reads inf
-        up to the next finite cell, does not round the feasible set up.
+        All None without a floor.  Else entry t >= 1 is a SOC whose highest
+        candidate successor is at least entry t + 1, the last entry is
+        ``terminal_min``, entry 0 is None, and a stage no SOC gets through
+        leaves it and the earlier entries None.  Four rounds of a 33-point
+        scan put each entry within span / 32**4 above the true boundary.
+        :func:`_dp` adds the entries to its grids, so interpolation beside the
+        inf cells, inf up to the next finite cell, cannot round the set up.
         """
         none = np.zeros(0)
         path = [None] * (self.horizon + 1)
+        if self.terminal_min is None:
+            return path
         path[-1] = self.terminal_min
         for t in range(self.horizon - 1, 0, -1):
             lo, hi = self.s_min, self.s_max
@@ -359,11 +361,9 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     fl(min_e c_e + v), also when v is inf.
     """
     horizon = env.horizon
-    if env.terminal_min is not None:
-        grids = [
-            g if f is None else np.union1d(g, [f])
-            for g, f in zip(grids, env.floor_path)
-        ]
+    grids = [
+        g if f is None else np.union1d(g, [f]) for g, f in zip(grids, env.floor_path)
+    ]
     values = [None] * (horizon + 1)
     values[horizon] = _terminal_values(env, grids[horizon])
 
@@ -389,6 +389,10 @@ def _dp(env, grids, n_act, extras_a, extras_e):
             np.broadcast_to(x, cost.shape).ravel() for x in (a, e, nxt, cost)
         )
         if not np.isfinite(total).any():
+            if env.terminal_min is None:
+                raise InfeasibleConfigError(
+                    "no schedule of finite cost from SOC %g at t=%d" % (s, t)
+                )
             raise InfeasibleConfigError(
                 "terminal_soc_min %g unreachable from SOC %g at t=%d"
                 % (env.terminal_min, s, t)
@@ -457,10 +461,8 @@ def _respond(scenario, A, E, m, config):
     env = _Env(scenario, A, E, m, config.terminal_soc_min)
     n_act = config.action_grid
     best_a, best_e = A[m], E[m]
-    old_bill = best_bill = _bill_of(env, best_a, best_e)
-    if env.terminal_min is not None:
-        if _soc_trajectory(env, best_a, best_e)[-1] < env.terminal_min - TERMINAL_TOL:
-            old_bill = best_bill = math.inf
+    floor_cost = _terminal_values(env, _soc_trajectory(env, best_a, best_e)[-1:])[0]
+    old_bill = best_bill = _bill_of(env, best_a, best_e) + float(floor_cost)
     if _exhaustive(env.taker, n_act, _EXACT_CAP):
         none = np.zeros((env.horizon, 0))
         a, e = _dp(env, _reachable_grids(env, n_act), n_act, none, none)
@@ -581,43 +583,35 @@ def initial_state(scenario: Scenario, config: GameConfig):
     """Seeded feasible starting schedules.
 
     Samples each decision uniformly inside its feasibility region, walking
-    households in id order so pool draws never exceed the offers committed
-    so far.  Under ``terminal_soc_min`` a decision whose SOC would fall
-    below the floor path charges as hard as its region allows, so a
-    reachable floor is met and no response compares against a start that
-    misses it.
+    households in id order, each taker drawing on its view's pool.  Under
+    ``terminal_soc_min`` a decision whose SOC would fall below the floor
+    path charges as hard as its region allows, so a reachable floor is met
+    and no response compares against a start that misses it.
     """
     rng = np.random.default_rng(config.seed)
     n, horizon = scenario.n_households, scenario.horizon
     A = np.zeros((n, horizon))
     E = np.zeros((n, horizon))
-    pool_remaining = np.zeros(horizon)
     for m in range(n):
         env = _Env(scenario, A, E, m, config.terminal_soc_min)
-        floor = [None] * (horizon + 1)
-        if env.terminal_min is not None:
-            floor = env.floor_path
         s = env.s0
         for t in range(horizon):
             d = float(env.d[t])
             phi_p = float(_phi_plus_vec(env, s))
             if env.taker[t]:
                 a = rng.uniform(*_taker_action_range(env, s, d, phi_p))
-                e = rng.uniform(_taker_draw_floor(d, a, pool_remaining[t]), 0.0)
+                e = rng.uniform(_taker_draw_floor(d, a, env.pool_avail[t]), 0.0)
             else:
                 e_lo, e_hi = _giver_offer_range(env, s, d, phi_p, 0.0)
                 e = rng.uniform(e_lo, e_hi)
                 a = rng.uniform(0.0, _giver_charge_cap(env, s, d, phi_p, e))
-            low = floor[t + 1]
+            low = env.floor_path[t + 1]
             if low is not None and _transition(env, t, s, a, e) < low:
                 # the sample strands the floor: charge as hard as the region allows
                 if env.taker[t]:
                     a, e = float(_taker_action_range(env, s, d, phi_p)[1]), 0.0
                 else:
-                    e = e_lo
-                    a = float(_giver_charge_cap(env, s, d, phi_p, e))
-            # a taker's e <= 0 draws the pool down; a giver's offer fills it
-            pool_remaining[t] += e if env.taker[t] else scenario.eta_bar * e
+                    e, a = e_lo, float(_giver_charge_cap(env, s, d, phi_p, e_lo))
             A[m, t] = a
             E[m, t] = e
             s = float(_transition(env, t, s, a, e))

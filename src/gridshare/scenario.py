@@ -228,10 +228,15 @@ def _battery_from_dict(data, path: str, problems: list):
 def _household_from_dict(hdata, i: int, problems: list):
     if _mapping(hdata, "households[%d]" % i, problems) is None:
         return None
-    hid = str(hdata.get("id", i))
+    hid = hdata.get("id", i)
+    if not isinstance(hid, (str, int, float)):
+        problems.append(
+            "households[%d].id: must be a string or a number, got %s" % (i, _brief(hid))
+        )
+        hid = i
     path = "households[%s]" % hid
     return HouseholdProfile(
-        id=hid,
+        id=str(hid),
         demand=_series(hdata.get("demand"), path + ".demand", problems),
         re_output=_series(hdata.get("re_output"), path + ".re_output", problems),
         battery=_battery_from_dict(hdata.get("battery"), path + ".battery", problems),
@@ -243,10 +248,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Build and fully validate a Scenario from a plain dict.
 
     Collects every violation before raising, so a bad file is reported in
-    one pass.  A field that is missing, has the wrong type or sits inside
-    a non-mapping is listed once and set to None, and
-    :meth:`Scenario.validate` skips it and the checks that depend on it.
-    A household without an ``id`` takes its index as its id.
+    one pass.  A field that is missing, has the wrong type or sits inside a
+    non-mapping is listed once and set to None, and :meth:`Scenario.validate`
+    skips it and the checks that depend on it.  A household without an
+    ``id`` takes its index; an id that is not a string or number is listed.
     """
     if not isinstance(data, dict):
         raise ScenarioValidationError(["document root must be a mapping"])

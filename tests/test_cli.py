@@ -41,6 +41,19 @@ def synth_file(runner, path, households=2, intervals=12, seed=5):
 SOLVE_FLAGS = ["--soc-grid", "24", "--action-grid", "5", "--seed", "3"]
 
 
+def _solve_process(scen, out, *flags, env=None):
+    """``gridshare solve`` in a fresh interpreter on this checkout's sources."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gridshare.cli", "solve", "--scenario", str(scen)]
+        + ["--out", str(out), *flags],
+        env=env,
+        capture_output=True,
+    )
+
+
 class TestSynthAndCheck:
     def test_synth_writes_reproducible_file(self, runner, tmp_path):
         p1 = synth_file(runner, tmp_path / "a.yaml")
@@ -209,14 +222,9 @@ class TestSolveCommand:
         scen.write_text(yaml.safe_dump(data, allow_unicode=True), encoding="utf-8")
         env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
         env.pop("PYTHONIOENCODING", None)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "gridshare.cli", "solve", "--scenario", str(scen)]
-            + ["--out", str(out), "--soc-grid", "5", "--action-grid", "5", "--seed", "1"],
-            env=env,
-            capture_output=True,
+        proc = _solve_process(
+            scen, out, "--soc-grid", "5", "--action-grid", "5", "--seed", "1", env=env
         )
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         rows = list(csv.reader((out / "traces.csv").read_text(encoding="utf-8").splitlines()))
@@ -257,6 +265,22 @@ class TestSolveCommand:
         assert result.exit_code == 1, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "error: terminal_soc_min 100 unreachable" in result.output
+        assert not (out / "result.json").exists()
+
+    def test_no_finite_cost_schedule_is_input_error(self, runner, tmp_path):
+        # p0 = 1e308 passes validation, but every candidate's cost overflows
+        # to inf; run as a process, as pytest makes numpy's overflow warning
+        # an error
+        scen = synth_file(runner, tmp_path / "scen.yaml", households=2, intervals=6)
+        data = yaml.safe_load(scen.read_text())
+        data["tariff"]["p0"] = 1.0e308
+        scen.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        proc = _solve_process(scen, out, "--soc-grid", "24", "--action-grid", "5")
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 1, stderr
+        assert "Traceback" not in stderr
+        assert "error: no schedule of finite cost from SOC" in stderr
         assert not (out / "result.json").exists()
 
     def test_nonconverged_exits_two_with_complete_report(self, runner, tmp_path):
@@ -434,6 +458,11 @@ def test_certify_checks_the_intact_baseline_document(runner, baseline_result):
         ),
         pytest.param(
             lambda doc: doc["config"].update(terminal_soc_min=13.0), id="missed-floor"
+        ),
+        # 401-digit ints, beyond any float
+        pytest.param(lambda doc: doc["config"].update(epsilon=10**400), id="huge-epsilon"),
+        pytest.param(
+            lambda doc: doc["config"].update(terminal_soc_min=10**400), id="huge-floor"
         ),
     ],
 )

@@ -314,6 +314,29 @@ class TestInitialState:
         assert np.array_equal(A1, A2) and np.array_equal(E1, E2)
         assert not np.array_equal(A1, A3)
 
+    # sha256 of the start's A then E: every solve starts here, the benchmark's
+    # flagship timing included, so a start that moves is a declared change
+    @pytest.mark.parametrize(
+        "shape, overrides, digest",
+        [
+            (
+                (4, 24, 7),
+                dict(),
+                "f3d28e69679c74ba83458f68ea17bc52c532614e58335aa6f4f5c42216dba29a",
+            ),
+            (
+                (2, 6, 5),
+                dict(soc_grid=24, action_grid=5, terminal_soc_min=6.0),
+                "d2e27bad6b00f5c49c37476b87802c07796f6132aa3cafd7e58c65f2bc2dd629",
+            ),
+        ],
+        ids=["flagship", "2x6-seed5-terminal"],
+    )
+    def test_start_is_pinned(self, shape, overrides, digest):
+        M, T, seed = shape
+        A, E = initial_state(synth_scenario(M, T, seed=seed), GameConfig(**overrides))
+        assert hashlib.sha256(A.tobytes() + E.tobytes()).hexdigest() == digest
+
 
 class TestSolve:
     def test_single_household_converges_quickly(self):

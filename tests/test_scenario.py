@@ -130,6 +130,9 @@ MALFORMED = [
     _one(("T",), True, "T", "bool-horizon"),
     _one(("tariff",), 5, "tariff", "tariff-not-mapping"),
     _one(("households",), {"a": 1}, "households", "households-not-list"),
+    _one(H1 + ("id",), None, "households[0].id", "null-id"),
+    _one(H1 + ("id",), [1, 2], "households[0].id", "list-id"),
+    _one(H1 + ("id",), {"a": 1}, "households[0].id", "mapping-id"),
     # a missing key is listed as unreadable, not range-checked as a stand-in
     pytest.param(
         [(("eta_inv",), _DROP)], ["eta_inv: must be a finite number"], id="missing-eta-inv"
@@ -162,6 +165,11 @@ def test_malformed_field_is_listed(edits, prefixes):
     assert len(problems) == len(prefixes), problems
     for prefix in prefixes:
         assert sum(p.startswith(prefix) for p in problems) == 1, problems
+
+
+@pytest.mark.parametrize("hid, text", [("h1", "h1"), (7, "7"), (2.5, "2.5")])
+def test_string_and_number_ids_are_read_as_text(hid, text):
+    assert scenario_from_dict(_with(H1 + ("id",), hid)).households[0].id == text
 
 
 FIELD_NAMES = [
