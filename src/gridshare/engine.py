@@ -56,6 +56,14 @@ _ANCHORS = 9  # uniform SOC points added to every local grid
 _OFFSETS = 7  # extra actions around the incumbent in a refinement round
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a number with a finite float value."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Solver knobs; the defaults suit day-long scenarios at T = 24..96."""
@@ -68,7 +76,7 @@ class GameConfig:
     terminal_soc_min: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
+        if not (_finite(self.epsilon) and self.epsilon > 0):
             raise GridShareError("epsilon must be finite and > 0")
         if self.max_sweeps < 1:
             raise GridShareError("max_sweeps must be >= 1")
@@ -94,9 +102,7 @@ class GameConfig:
             )
         if self.seed < 0:
             raise GridShareError("seed must be >= 0")
-        if self.terminal_soc_min is not None and not math.isfinite(
-            self.terminal_soc_min
-        ):
+        if self.terminal_soc_min is not None and not _finite(self.terminal_soc_min):
             raise GridShareError("terminal_soc_min must be None or finite")
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import billing
 from .engine import EquilibriumResult, GameConfig, solve
+from .errors import GridShareError
 from .scenario import Scenario
 
 RESULT_SCHEMA_VERSION = 3
@@ -57,14 +58,25 @@ class BaselineResult:
 
 
 def run_baseline(scenario: Scenario) -> BaselineResult:
+    """The day with batteries idle and no sharing.
+
+    Raises GridShareError if its aggregated load or tracking error exceeds
+    the float range, which valid but huge energies can make them do.
+    """
     loads = baseline_loads(scenario)
-    aggregated = np.array([math.fsum(column) for column in loads.T.tolist()])
-    bills = billing.community_bills(loads, scenario.tariff)
+    with np.errstate(over="ignore"):
+        try:
+            aggregated = np.array([math.fsum(column) for column in loads.T.tolist()])
+            error = tracking_error(aggregated, scenario.tariff.generation)
+        except OverflowError:  # an intermediate overflow in math.fsum
+            error = math.inf
+    if error == math.inf:
+        raise GridShareError("the baseline's tracking error exceeds the float range")
     return BaselineResult(
         loads=loads,
         aggregated=aggregated,
-        bills=bills,
-        tracking_error=tracking_error(aggregated, scenario.tariff.generation),
+        bills=billing.community_bills(loads, scenario.tariff),
+        tracking_error=error,
     )
 
 

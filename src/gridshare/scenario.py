@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -283,11 +284,101 @@ def scenario_from_dict(data: dict) -> Scenario:
     return scenario
 
 
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# Plain scalars that YAML 1.1 resolves to float and int, and on which
+# float() and int() give the constructor's value: the float resolver runs
+# first, and sign * float(digits) equals float(text) bit for bit.
+_PLAIN_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?").fullmatch
+_PLAIN_INT = re.compile(r"-?(?:0|[1-9][0-9]*)").fullmatch
+
+
+class _NeedsFullLoad(Exception):
+    """The document holds something only ``yaml.load`` builds faithfully."""
+
+
+def _scalar(loader, event):
+    """A scalar's value as PyYAML's resolver and safe constructor give it."""
+    tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
+    construct = loader.yaml_constructors.get(tag)
+    if construct is None:  # merge key, value key, ...
+        raise _NeedsFullLoad
+    return construct(loader, yaml.ScalarNode(tag, event.value, style=event.style))
+
+
+def _compose(loader):
+    """The stream's document built from its parser events.
+
+    Raises _NeedsFullLoad on an anchor, an alias, an explicit tag, a
+    collection as a mapping key or a second document; parser and
+    constructor errors propagate.
+    """
+    get_event = loader.get_event
+    get_event()  # StreamStartEvent
+    if isinstance(get_event(), yaml.StreamEndEvent):
+        return None
+    # items of the innermost open collection; a mapping's alternate key, value
+    items = []
+    is_mapping = False
+    outer = []  # (items, is_mapping) of the collections around it
+    while True:
+        event = get_event()
+        kind = event.__class__
+        if kind is yaml.ScalarEvent:
+            if event.anchor is not None or event.tag is not None:
+                raise _NeedsFullLoad
+            value = event.value
+            if event.implicit[0] and _PLAIN_FLOAT(value):
+                items.append(float(value))
+            elif event.implicit[0] and _PLAIN_INT(value):
+                items.append(int(value))
+            else:
+                items.append(_scalar(loader, event))
+        elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+            if (
+                event.anchor is not None
+                or event.tag is not None
+                or (is_mapping and len(items) % 2 == 0)
+            ):
+                raise _NeedsFullLoad
+            outer.append((items, is_mapping))
+            items, is_mapping = [], kind is yaml.MappingStartEvent
+        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+            value = dict(zip(items[::2], items[1::2])) if is_mapping else items
+            items, is_mapping = outer.pop()
+            items.append(value)
+        elif kind is yaml.DocumentEndEvent:
+            break
+        elif kind is yaml.AliasEvent:
+            raise _NeedsFullLoad
+    if not isinstance(get_event(), yaml.StreamEndEvent):
+        raise _NeedsFullLoad
+    return items[0]
+
+
+def _read_yaml(fh):
+    """``yaml.load(fh)`` under YAML 1.1 safe-load rules, built from parser events.
+
+    A document the event builder cannot take, or one it fails on, goes
+    whole to ``yaml.load``, so its value or its exception is that call's.
+    A pipe cannot be read twice, so it goes to ``yaml.load`` at once.
+    """
+    if fh.seekable():
+        loader = _LOADER(fh)
+        try:
+            return _compose(loader)
+        except (_NeedsFullLoad, yaml.YAMLError, ValueError):
+            fh.seek(0)
+        finally:
+            loader.dispose()
+    return yaml.load(fh, Loader=_LOADER)
+
+
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario YAML document."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            data = _read_yaml(fh)
         except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ScenarioValidationError(["parse error: %s" % exc])
     return scenario_from_dict(data)

@@ -283,6 +283,24 @@ class TestSolveCommand:
         assert "error: no schedule of finite cost from SOC" in stderr
         assert not (out / "result.json").exists()
 
+    def test_baseline_overflow_is_input_error(self, runner, tmp_path):
+        # generation 1e154 passes validation, but the squared gaps of the
+        # tracking error sum past the float range
+        scen = synth_file(runner, tmp_path / "scen.yaml", households=2, intervals=6)
+        data = yaml.safe_load(scen.read_text())
+        data["tariff"]["generation"] = [1e154] * 6
+        scen.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["solve", "--scenario", str(scen), "--out", str(out), "--baseline-only"]
+        )
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "error: the baseline's tracking error exceeds the float range\n"
+        )
+        assert not (out / "result.json").exists()
+
     def test_nonconverged_exits_two_with_complete_report(self, runner, tmp_path):
         scen = synth_file(runner, tmp_path / "scen.yaml", households=3, intervals=8, seed=0)
         out = tmp_path / "out"

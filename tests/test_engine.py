@@ -71,6 +71,9 @@ class TestGameConfig:
             {"soc_grid": 10**13},
             {"action_grid": 100000},
             {"soc_grid": 10**6, "action_grid": 3},
+            # ints beyond the float range
+            {"epsilon": 10**400},
+            {"terminal_soc_min": 10**400},
         ],
     )
     def test_invalid_config_rejected(self, overrides):

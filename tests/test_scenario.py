@@ -1,4 +1,9 @@
+import io
 import math
+import os
+import struct
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridshare import Scenario, load_scenario, save_scenario, synth_scenario
+from gridshare import scenario as scenario_mod
 from gridshare.errors import ScenarioValidationError
 from gridshare.scenario import SCHEMA_VERSION, scenario_from_dict
 
@@ -86,7 +92,11 @@ class TestLoading:
         path.write_text("households: [unclosed\n")
         with pytest.raises(ScenarioValidationError) as exc:
             load_scenario(path)
-        assert any("parse error" in p for p in exc.value.problems)
+        # the text yaml.load gives, with the stream name and position
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(yaml.YAMLError) as parsed:
+                yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        assert exc.value.problems == ["parse error: %s" % parsed.value]
 
 
 _DROP = object()  # an edit value that deletes the key
@@ -205,6 +215,197 @@ def test_any_document_is_a_scenario_or_a_listed_violation(doc):
         assert exc.problems and all(isinstance(p, str) for p in exc.problems)
     else:
         assert isinstance(scenario, Scenario)
+
+
+LOADERS = [
+    pytest.param(
+        getattr(yaml, "CSafeLoader", None),
+        id="CSafeLoader",
+        marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml"),
+    ),
+    pytest.param(yaml.SafeLoader, id="SafeLoader"),
+]
+
+
+def _same(a, b) -> bool:
+    """Equal with equal types; floats by their bits, mappings in key order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return _same(list(a.items()), list(b.items()))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _outcome(read, open_stream):
+    """("value", document) or ("error", exception type, message)."""
+    with open_stream() as fh:
+        try:
+            return "value", read(fh)
+        except Exception as exc:  # any exception is compared
+            return "error", type(exc), str(exc)
+
+
+def assert_reads_like_yaml_load(loader, open_stream):
+    """load_scenario's reader gives yaml.load's value or exception under ``loader``."""
+    with mock.patch.object(scenario_mod, "_LOADER", loader):
+        ours = _outcome(scenario_mod._read_yaml, open_stream)
+    theirs = _outcome(lambda fh: yaml.load(fh, Loader=loader), open_stream)
+    assert _same(ours, theirs), (ours, theirs)
+
+
+def _text(text):
+    return lambda: io.StringIO(text)
+
+
+@pytest.fixture(scope="module")
+def synth_path(tmp_path_factory):
+    """Path of the seed-7 synthetic file of a given shape, written once."""
+    paths = {}
+
+    def path(households, horizon):
+        if (households, horizon) not in paths:
+            target = tmp_path_factory.mktemp("synth") / "day.yaml"
+            save_scenario(synth_scenario(households, horizon, seed=7), target)
+            paths[households, horizon] = target
+        return paths[households, horizon]
+
+    return path
+
+
+# YAML 1.1 plain scalars around the float and int shapes read without the
+# resolver, and other implicit types
+SCALARS = [
+    "-0.0", "0.0", "1.0e+300", "2.5e-400", "007.5", "1.5E+3", "1.0e5", "1.",
+    ".5", "1e5", "010", "0", "-0", "-7", "1_000", "+5", "+1.5", ".inf", "-.inf",
+    ".nan", "0x1F", "0b101", "1:30", "190:20:30.15", "yes", "on", "No", "~",
+    "null", "", "'1.5'", '"2"', "'yes'", "2024-01-02", "2024-01-02 10:00:00",
+    "h1", "=", "<<",
+]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+class TestReadsLikeYamlLoad:
+    @pytest.mark.parametrize("shape", [(4, 24), (256, 96)], ids=["4x24", "256x96"])
+    def test_synth_files(self, loader, shape, synth_path):
+        path = synth_path(*shape)
+        assert_reads_like_yaml_load(loader, lambda: open(path, encoding="utf-8"))
+
+    @pytest.mark.parametrize("scalar", SCALARS)
+    def test_scalars(self, loader, scalar):
+        # as a value, an item, a key, the root and in flow collections
+        layouts = ["v: {0}\n", "- {0}\n", "{0}: v\n", "{0}\n", "[{0}, {{k: {0}}}]\n"]
+        for layout in layouts:
+            assert_reads_like_yaml_load(loader, _text(layout.format(scalar)))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a: &x 1\nb: *x\n",
+            "a: &x [1, 2]\nb: *x\n",
+            "a: &x 1\nb: &x 2\n",
+            "a: &x [1]\nb: &x {c: 2}\n",
+            "base: &b {x: 1}\nd:\n  <<: *b\n  y: 2\n",
+            "a: !!float 1\nb: !!str 5\n",
+            "a: ! 5\n",
+            "a: 1\n---\nb: 2\n",
+            "? [1, 2]\n: 3\n",
+            "? {a: 1}\n: 3\n",
+            "",
+            "# only a comment\n",
+            "--- \na: 1\n...\n",
+            "%YAML 1.1\n---\na: 1\n",
+            "a: 1\na: 2\nb: 3\n",
+            ".nan: 1\n.nan: 2\n",
+            "1: a\n1.0: b\ntrue: c\n",
+            "d: 2020-02-30\n",
+            "d: 2020-02-30\ne: *nope\n",
+            "d: 2020-02-30\ne: [\n",
+            "a: *nope\n",
+            "households: [unclosed\n",
+            "[" * 200 + "]" * 200 + "\n",
+        ],
+        ids=[
+            "alias", "collection-alias", "duplicate-anchor",
+            "duplicate-collection-anchor", "merge", "tags", "non-specific-tag",
+            "two-documents", "list-key", "map-key", "empty", "comment", "markers",
+            "directive", "duplicate-key", "nan-keys", "equal-keys", "bad-date",
+            "bad-date-then-alias", "bad-date-then-unclosed",
+            "undefined-alias", "unclosed", "deep",
+        ],
+    )
+    def test_documents(self, loader, text):
+        assert_reads_like_yaml_load(loader, _text(text))
+
+    def test_undecodable_file(self, loader, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"a: 1\nb: caf\xe9\n")
+        assert_reads_like_yaml_load(loader, lambda: open(path, encoding="utf-8"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=st.recursive(
+            st.sampled_from(SCALARS)
+            | st.floats().map(repr)
+            | st.integers(-(10**20), 10**20).map(str),
+            lambda inner: st.lists(inner, max_size=4).map(
+                lambda items: "[%s]" % ", ".join(items)
+            )
+            | st.lists(st.tuples(inner, inner), max_size=4).map(
+                lambda pairs: "{%s}" % ", ".join("%s: %s" % p for p in pairs)
+            ),
+            max_leaves=20,
+        )
+        | NESTED.map(yaml.safe_dump)
+    )
+    def test_any_document(self, loader, text):
+        assert_reads_like_yaml_load(loader, _text(text))
+
+
+def test_plain_scenario_is_built_without_yaml_load(tmp_path, monkeypatch):
+    path = tmp_path / "day.yaml"
+    scenario = synth_scenario(3, 6, seed=2)
+    save_scenario(scenario, path)
+    monkeypatch.setattr(yaml, "load", None)  # any call fails
+    assert load_scenario(path).digest() == scenario.digest()
+
+
+def _shared_battery_files(tmp_path):
+    """(anchored, expanded) files of one day whose households share a battery."""
+    doc = synth_scenario(2, 6, seed=5).to_dict()
+    battery = doc["households"][0]["battery"]
+    anchored, expanded = tmp_path / "anchored.yaml", tmp_path / "expanded.yaml"
+    doc["households"][1]["battery"] = dict(battery)
+    expanded.write_text(yaml.safe_dump(doc))
+    doc["households"][1]["battery"] = battery  # dumped as an anchor and an alias
+    anchored.write_text(yaml.safe_dump(doc))
+    assert "*id001" in anchored.read_text()
+    return anchored, expanded
+
+
+def test_anchored_scenario_matches_its_expansion(tmp_path):
+    anchored, expanded = _shared_battery_files(tmp_path)
+    assert load_scenario(anchored).digest() == load_scenario(expanded).digest()
+
+
+def test_pipe_is_read_once(tmp_path):
+    # the anchor needs yaml.load, and a pipe cannot be read a second time
+    anchored, expanded = _shared_battery_files(tmp_path)
+    fifo = tmp_path / "day.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_text, args=(anchored.read_text(),), daemon=True
+    )
+    writer.start()
+    try:
+        scenario = load_scenario(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert scenario.digest() == load_scenario(expanded).digest()
 
 
 class TestRoundTrip:
