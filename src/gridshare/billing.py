@@ -70,9 +70,10 @@ def community_bills(loads, tariff: TariffParams) -> list:
             % (loads.shape[1], len(tariff.generation))
         )
     aggregated = np.array([math.fsum(column) for column in loads.T.tolist()])
-    gap = aggregated - tariff.generation
-    price = gap * gap + tariff.p0
-    return [math.fsum(terms) for terms in (loads * price).tolist()]
+    with np.errstate(over="ignore"):  # an overflowed term is +inf
+        gap = aggregated - tariff.generation
+        terms = loads * (gap * gap + tariff.p0)
+    return [math.fsum(row) for row in terms.tolist()]
 
 
 def daily_bill_decomposed(loads_m, loads_others, tariff: TariffParams) -> float:

@@ -12,10 +12,12 @@ it.  One stage kernel lays out and prices an interval's candidates as a
 (state, P, Q) block: a taker's battery actions along P and its pool draws
 along Q, a giver's offers along P and its grid charges along Q.  A draw
 moves the load but not the SOC, so a taker's SOC step and value lookup
-run once per (state, action).  The backward pass and the rollout both
-read that block.  For tiny instances the search is exhaustive: the same
-DP runs on the exact SOCs the candidate tree reaches at each interval, so
-every lookup lands on a cell and the bill equals a brute-force oracle's
+run once per (state, action); where the pool is empty every draw equals
+its floor, so the draw axis is that one column.  The backward pass and the
+rollout both read that block, and the rollout breaks ties only among the
+pairs at the least cost.  For tiny instances the search is exhaustive: the
+same DP runs on the exact SOCs the candidate tree reaches at each interval,
+so every lookup lands on a cell and the bill equals a brute-force oracle's
 exactly.  Equal bills are split by the rollout's rule (cost, then
 |a|, |e|, SOC), not by the oracle's enumeration order.
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -253,7 +255,9 @@ def _giver_charge_cap(env, s, d, phi_p, e):
 def _transition(env, t, s, a, e):
     """Next SOC from ``s`` under (a, e); mirrors the scalar battery updates.
 
-    Works on scalars and on arrays that broadcast against each other.
+    Works on scalars and on arrays that broadcast against each other; a
+    giver's ``a`` must have the broadcast shape, since its step is built in
+    place on ``c_charge * a``.
     """
     if env.taker[t]:
         nxt = np.where(
@@ -263,13 +267,26 @@ def _transition(env, t, s, a, e):
         )
     else:
         local = np.maximum(0.0, -float(env.d[t]) - e)
-        total = a + local
-        nxt = np.where(
-            total == 0.0,
-            s * env.sdf,
-            s + env.c_charge * a + env.bat.eta_plus * local,
-        )
-    return np.clip(nxt, env.s_min, env.s_max)
+        nxt = np.asarray(env.c_charge * a)  # 0-d for scalars, so out= works
+        np.add(s, nxt, out=nxt)
+        nxt += env.bat.eta_plus * local
+        np.copyto(nxt, s * env.sdf, where=a + local == 0.0)
+    # np.clip(nxt, s_min, s_max) bit for bit: with scalar bounds np.clip keeps
+    # nxt on a tie of signed zeros, and so does this operand order
+    np.maximum(env.s_min, nxt, out=nxt)
+    return np.minimum(env.s_max, nxt, out=nxt)
+
+
+@lru_cache(maxsize=None)
+def _fractions(n_act):
+    """``n_act`` uniform fractions 0..1 of a range, and 1 minus each.
+
+    Built once per ``n_act`` and shared by every stage, so read-only.
+    """
+    fr = np.linspace(0.0, 1.0, n_act)
+    back = 1.0 - fr
+    fr.flags.writeable = back.flags.writeable = False
+    return fr, back
 
 
 def _stage(env, t, s, n_act, extra_a, extra_e):
@@ -278,53 +295,73 @@ def _stage(env, t, s, n_act, extra_a, extra_e):
     Returns (a, e, cost, nxt): the region samples plus the clipped extras,
     each pair's stage cost and its next SOC, as arrays that broadcast to
     one (n, P, Q) block.  A taker's actions run along P and its draws along
-    Q; a draw moves the load but never the SOC, so ``nxt`` is (n, P, 1).  A
-    giver's offers run along P and its grid charges along Q.
+    Q; a draw moves the load but never the SOC, so ``nxt`` is (n, P, 1).
+    When the pool left at ``t`` is empty, every draw of an action equals its
+    floor ``e_lo``, a signed zero, so the draw axis is the one column
+    ``e_lo`` and the block is (n, P, 1).  A giver's offers run along P and
+    its grid charges along Q.
+
+    An extra is clipped as ``np.minimum(np.maximum(x, lo), hi)``, which on
+    a tie of signed zeros takes the bound's sign (np.clip's choice there
+    depends on the array layout).  Such an extra repeats, at the same cost,
+    an earlier sample that the rollout's tie rule keeps, so no schedule
+    sees the sign.
     """
     d = float(env.d[t])
+    n = len(s)
     s = s[:, None, None]
     phi_p = _phi_plus_vec(env, s)
-    fr = np.linspace(0.0, 1.0, n_act)
-    along_p, along_q = fr[None, :, None], fr[None, None, :]
+    fr, back = _fractions(n_act)
+    along_p = fr[None, :, None]
     if env.taker[t]:
         a_lo, a_hi = _taker_action_range(env, s, d, phi_p)
         a = np.concatenate(
             [
                 a_lo + along_p * (a_hi - a_lo),
-                np.zeros((len(s), 1, 1)),
-                np.clip(extra_a[None, :, None], a_lo, a_hi),
+                np.zeros((n, 1, 1)),
+                np.minimum(np.maximum(extra_a[None, :, None], a_lo), a_hi),
             ],
             axis=1,
         )
-        e_lo = _taker_draw_floor(d, a, float(env.pool_avail[t]))
-        e = np.concatenate(
-            [e_lo * (1.0 - along_q), np.clip(extra_e[None, None, :], e_lo, 0.0)],
-            axis=2,
-        )
+        pool = float(env.pool_avail[t])
+        e_lo = _taker_draw_floor(d, a, pool)
+        if pool > 0.0:
+            e = np.empty((n, a.shape[1], n_act + len(extra_e)))
+            np.multiply(e_lo, back, out=e[:, :, :n_act])
+            np.minimum(np.maximum(extra_e, e_lo), 0.0, out=e[:, :, n_act:])
+        else:
+            e = e_lo
         loads = d + a + e
     else:
         e_lo, e_hi = _giver_offer_range(env, s, d, phi_p, float(env.min_offer[t]))
         e = np.concatenate(
             [
                 e_lo + along_p * (e_hi - e_lo),
-                np.clip(extra_e[None, :, None], e_lo, e_hi),
+                np.minimum(np.maximum(extra_e[None, :, None], e_lo), e_hi),
             ],
             axis=1,
         )
         a_cap = _giver_charge_cap(env, s, d, phi_p, e)
-        a = np.concatenate(
-            [a_cap * along_q, np.clip(extra_a[None, None, :], 0.0, a_cap)], axis=2
-        )
+        a = np.empty((n, e.shape[1], n_act + len(extra_a)))
+        np.multiply(a_cap, fr, out=a[:, :, :n_act])
+        np.minimum(np.maximum(extra_a, 0.0), a_cap, out=a[:, :, n_act:])
         loads = a
-    gap = loads + (float(env.l_others[t]) - float(env.g[t]))
-    return a, e, loads * (gap * gap + env.p0), _transition(env, t, s, a, e)
+    # loads * (gap * gap + p0) in place; an overflowed cost is +inf, which
+    # ranks as infeasible
+    with np.errstate(over="ignore"):
+        cost = loads + (float(env.l_others[t]) - float(env.g[t]))
+        cost *= cost
+        cost += env.p0
+        cost *= loads
+    return a, e, cost, _transition(env, t, s, a, e)
 
 
 def _bill_of(env: _Env, a: np.ndarray, e: np.ndarray) -> float:
     """Exact daily bill of a schedule against the frozen others."""
     loads = np.where(env.taker, env.d + a + e, a)
-    gap = loads + env.l_others - env.g
-    terms = loads * (gap * gap + env.p0)
+    with np.errstate(over="ignore"):  # an overflowed term is +inf
+        gap = loads + env.l_others - env.g
+        terms = loads * (gap * gap + env.p0)
     return math.fsum(terms.tolist())
 
 
@@ -373,15 +410,18 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     values = [None] * (horizon + 1)
     values[horizon] = _terminal_values(env, grids[horizon])
 
-    def value_after(t, nxt):
-        return np.interp(nxt, grids[t + 1], values[t + 1])
+    def add_value_after(t, cost, nxt):
+        # an overflowed total is +inf, which ranks as infeasible
+        with np.errstate(over="ignore"):
+            cost += np.interp(nxt, grids[t + 1], values[t + 1])
 
     for t in range(horizon - 1, 0, -1):
         # a stage's arrays stay bound until the next stage has built its own:
         # freed at once, they let malloc trim the heap, and regrowing it took
-        # a flagship solve from 0.34M to 2.05M minor page faults
+        # the flagship's solves from start seeds 0-4 from 1.56M to 2.07M
+        # minor page faults in all (seed 0 alone went from 99k to 68k)
         a, e, cost, nxt = _stage(env, t, grids[t], n_act, extras_a[t], extras_e[t])
-        cost += value_after(t, nxt)
+        add_value_after(t, cost, nxt)
         values[t] = cost.reshape(len(cost), -1).min(axis=1)
 
     a_out = np.zeros(horizon)
@@ -389,11 +429,8 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     s = env.s0
     for t in range(horizon):
         a, e, cost, nxt = _stage(env, t, np.array([s]), n_act, extras_a[t], extras_e[t])
-        cost += value_after(t, nxt)
-        # one state's pairs, flat: action-major for takers, offer-major for givers
-        a, e, nxt, total = (
-            np.broadcast_to(x, cost.shape).ravel() for x in (a, e, nxt, cost)
-        )
+        add_value_after(t, cost, nxt)
+        total = cost.ravel()  # action-major for takers, offer-major for givers
         if not np.isfinite(total).any():
             if env.terminal_min is None:
                 raise InfeasibleConfigError(
@@ -403,8 +440,15 @@ def _dp(env, grids, n_act, extras_a, extras_e):
                 "terminal_soc_min %g unreachable from SOC %g at t=%d"
                 % (env.terminal_min, s, t)
             )
-        # deterministic tie-breaking: cost, then |a|, then |e|, then SOC
-        best = np.lexsort((nxt, np.abs(e), np.abs(a), total))[0]
+        # deterministic tie-breaking: cost, then |a|, then |e|, then SOC, over
+        # the pairs at the least cost; a NaN cost sorts last, so a NaN minimum
+        # keeps every pair
+        low = total.min()
+        ties = np.flatnonzero(total == low) if low == low else np.arange(total.size)
+        _, p, q = np.unravel_index(ties, cost.shape)
+        # a, e and nxt each span the P axis and either Q or 1 along Q
+        a, e, nxt = (x[0, p, q % x.shape[2]] for x in (a, e, nxt))
+        best = np.lexsort((nxt, np.abs(e), np.abs(a), total[ties]))[0]
         a_out[t] = a[best]
         e_out[t] = e[best]
         s = float(nxt[best])

@@ -379,7 +379,9 @@ def load_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         try:
             data = _read_yaml(fh)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        # ValueError covers UnicodeDecodeError and the constructors' own: a
+        # date that does not exist, an int longer than Python converts
+        except (yaml.YAMLError, ValueError) as exc:
             raise ScenarioValidationError(["parse error: %s" % exc])
     return scenario_from_dict(data)
 

@@ -5,6 +5,7 @@ pytest's capture) so a release run can be audited at a glance.  Tolerances
 are stated inline next to each assertion.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -88,6 +89,17 @@ def test_flagship_equilibrium_holds_on_4x_grids(flagship):
         for m in range(scenario.n_households)
     ]
     assert max(gains) <= config.epsilon, gains
+
+
+def test_flagship_schedules_are_pinned(flagship):
+    # sha256 of the solved A then E (float64, C order), as the golden days
+    # of tests/test_engine.py: a kernel change that moves any bit fails here
+    _, _, result, _ = flagship
+    A = np.array([s.a for s in result.schedules], dtype=float)
+    E = np.array([s.e for s in result.schedules], dtype=float)
+    assert hashlib.sha256(A.tobytes() + E.tobytes()).hexdigest() == (
+        "83d451c65c9801f92a8e62cee558fb277b9e21622bb95f7f639e03be636d63ed"
+    )
 
 
 def test_criterion_2_tracking_error_reduction(flagship, capsys):

@@ -30,6 +30,7 @@ from gridshare.engine import (
     _respond,
     _soc_trajectory,
     _stage,
+    _taker_draw_floor,
     _terminal_values,
     _transition,
     _uniform_grid,
@@ -568,10 +569,11 @@ class TestDeviationGain:
         assert gain <= tiny_config.epsilon
 
 
-def flat_dp(env, grids, n_act, extras_a, extras_e):
+def flat_dp(env, grids, n_act, extras_a, extras_e, stage=_stage):
     """Reference DP that steps and looks up every (a, e) pair of every stage.
 
-    Returns the rolled-out (a, e) and the backward values.
+    ``stage`` lays out and prices an interval's block, as :func:`_stage`
+    does.  Returns the rolled-out (a, e) and the backward values.
     """
     horizon = env.horizon
     if env.terminal_min is not None:
@@ -585,7 +587,7 @@ def flat_dp(env, grids, n_act, extras_a, extras_e):
     def totals(t, s):
         # flatten the stage block into (state, pair) rows and step every pair
         # itself, so a taker's per-action nxt is not trusted here
-        a, e, cost, _ = _stage(env, t, s, n_act, extras_a[t], extras_e[t])
+        a, e, cost, _ = stage(env, t, s, n_act, extras_a[t], extras_e[t])
         block = cost.shape
         a, e, cost = (
             np.broadcast_to(x, block).reshape(len(s), -1) for x in (a, e, cost)
@@ -644,6 +646,67 @@ class TestStageReduction:
             seen["taker"] += int(env.taker.sum())
             seen["giver"] += int((~env.taker).sum())
             seen["inf"] += int(any(np.isinf(v).any() for v in values[1:]))
+        assert min(seen.values()) > 0, seen
+
+
+def lattice_stage(env, t, s, n_act, extra_a, extra_e):
+    """:func:`_stage` with an empty pool's draw axis laid out in full.
+
+    At a taker interval whose pool is empty, the draws are the lattice
+    e_lo * (1 - fr) plus the extras clipped to [e_lo, 0], priced here.
+    """
+    a, e, cost, nxt = _stage(env, t, s, n_act, extra_a, extra_e)
+    pool = float(env.pool_avail[t])
+    if not env.taker[t] or pool > 0.0:
+        return a, e, cost, nxt
+    d = float(env.d[t])
+    e_lo = _taker_draw_floor(d, a, pool)
+    fr = np.linspace(0.0, 1.0, n_act)
+    e = np.concatenate(
+        [e_lo * (1.0 - fr), np.clip(extra_e[None, None, :], e_lo, 0.0)], axis=2
+    )
+    loads = d + a + e
+    gap = loads + (float(env.l_others[t]) - float(env.g[t]))
+    return a, e, loads * (gap * gap + env.p0), nxt
+
+
+class TestEmptyPool:
+    def test_one_draw_column_matches_the_full_lattice_bit_for_bit(self):
+        # an empty pool leaves every draw at e_lo, a signed zero, so _stage
+        # lays out that one column; the rolled-out schedule must keep the
+        # full lattice's bits, -0.0 draws included
+        rng = np.random.default_rng(18)
+        seen = {"empty": 0, "negative_zero": 0, "rounds": 0}
+        for case in range(40):
+            M, T = int(rng.integers(2, 5)), int(rng.integers(4, 13))
+            scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
+            A, E = initial_state(scenario, GameConfig(seed=case))
+            # empty the pool at about half the intervals: nobody offers there
+            quiet = rng.random(T) < 0.5
+            E[:, quiet] = np.minimum(E[:, quiet], 0.0)
+            m = int(rng.integers(0, M))
+            env = _Env(scenario, A, E, m, None)
+            n_act = int(rng.integers(3, 10))
+            sigma = rng.uniform(0.05, 0.5) * (env.s_max - env.s_min)
+            if case % 2:
+                grids = [_uniform_grid(env, int(rng.integers(6, 48)))] * (T + 1)
+                offsets = np.zeros(1)
+            else:
+                traj = _soc_trajectory(env, A[m], E[m])
+                grids = _local_grids(env, traj, int(rng.integers(6, 48)), sigma)
+                offsets = sigma * np.linspace(-1.0, 1.0, int(rng.integers(1, 8)))
+                seen["rounds"] += 1
+            extras_a = A[m][:, None] + offsets
+            extras_e = E[m][:, None] + offsets
+            ref_a, ref_e, _ = flat_dp(
+                env, grids, n_act, extras_a, extras_e, stage=lattice_stage
+            )
+            a, e = _dp(env, grids, n_act, extras_a, extras_e)
+            assert a.tobytes() == ref_a.tobytes(), case
+            assert e.tobytes() == ref_e.tobytes(), case
+            empty = env.taker & ~(env.pool_avail > 0.0)
+            seen["empty"] += int(empty.sum())
+            seen["negative_zero"] += int(np.signbit(e[empty]).sum())
         assert min(seen.values()) > 0, seen
 
 

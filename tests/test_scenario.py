@@ -2,6 +2,7 @@ import io
 import math
 import os
 import struct
+import sys
 import threading
 from unittest import mock
 
@@ -95,6 +96,34 @@ class TestLoading:
         # the text yaml.load gives, with the stream name and position
         with open(path, encoding="utf-8") as fh:
             with pytest.raises(yaml.YAMLError) as parsed:
+                yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        assert exc.value.problems == ["parse error: %s" % parsed.value]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("id: h1", "id: 2020-02-30"),
+            pytest.param(
+                "initial_soc: 7.0",
+                "initial_soc: " + "1" * 5000,
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int digit limit in this Python",
+                ),
+            ),
+        ],
+        ids=["no-such-date", "int-over-digit-limit"],
+    )
+    def test_constructor_error_reported(self, tmp_path, old, new):
+        # a scalar the safe constructor rejects with a ValueError
+        path = tmp_path / "bad.yaml"
+        text = yaml.safe_dump(minimal_doc())
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ScenarioValidationError) as exc:
+            load_scenario(path)
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(ValueError) as parsed:
                 yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         assert exc.value.problems == ["parse error: %s" % parsed.value]
 
