@@ -21,13 +21,11 @@ import json
 import sys
 
 import click
-import numpy as np
 
-from .decisions import Schedule, audit_community
-from .engine import TERMINAL_TOL, GameConfig, deviation_gain
+from .engine import GameConfig, deviation_gain
 from .errors import GridShareError, ScenarioValidationError
-from .report import RESULT_SCHEMA_VERSION, emit, run
-from .scenario import load_scenario, number_series, save_scenario, synth_scenario
+from .report import emit, read_result, run
+from .scenario import load_scenario, save_scenario, synth_scenario
 
 
 @contextlib.contextmanager
@@ -142,85 +140,6 @@ def solve(scenario_path, out, baseline_only, **knobs):
         sys.exit(2)
 
 
-def _json_value_ok(value, default) -> bool:
-    """Whether a JSON value fits a GameConfig field: its type, a finite float."""
-    if value is None:
-        return default is None
-    if isinstance(default, int):
-        return type(value) is int  # a JSON bool is not an int here
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
-def _config_from_doc(cfg) -> GameConfig:
-    defaults = {f.name: f.default for f in dataclasses.fields(GameConfig)}
-    if not isinstance(cfg, dict):
-        raise GridShareError("config must be a mapping")
-    for name, value in cfg.items():
-        if name not in defaults:
-            raise GridShareError("unknown config key %r" % name)
-        if not _json_value_ok(value, defaults[name]):
-            raise GridShareError("config.%s: invalid value %r" % (name, value))
-    missing = [name for name in defaults if name not in cfg]
-    if missing:
-        raise GridShareError("config is missing %s" % ", ".join(missing))
-    return GameConfig(**cfg)
-
-
-def _read_result(doc, scenario):
-    """(config, schedules) of a result document for ``scenario``.
-
-    Raises GridShareError naming the first malformed part, or every
-    household whose replayed schedule ends below ``terminal_soc_min``.
-    """
-    if not isinstance(doc, dict) or not isinstance(doc.get("game"), dict):
-        raise GridShareError("no game section")
-    version = doc.get("schema_version")
-    if type(version) is not int or version != RESULT_SCHEMA_VERSION:
-        raise GridShareError(
-            "schema_version: expected %d, got %r" % (RESULT_SCHEMA_VERSION, version)
-        )
-    if doc.get("scenario_digest") != scenario.digest():
-        raise GridShareError("scenario digest mismatch with result document")
-    config = _config_from_doc(doc.get("config"))
-    households = doc["game"].get("households")
-    schedules = []
-    for h in scenario.households:
-        entry = households.get(h.id) if isinstance(households, dict) else None
-        if not isinstance(entry, dict):
-            raise GridShareError("game.households.%s is missing" % h.id)
-        series = [number_series(entry.get(key)) for key in ("a", "e")]
-        if not all(
-            s is not None and len(s) == scenario.horizon and np.all(np.isfinite(s))
-            for s in series
-        ):
-            raise GridShareError(
-                "game.households.%s: a and e need %d finite numbers each"
-                % (h.id, scenario.horizon)
-            )
-        schedules.append(Schedule(*series))
-    # a schedule outside its feasible region can show a bill no feasible
-    # deviation beats, so replay it before measuring any gain
-    trace = audit_community(
-        scenario.households,
-        schedules,
-        scenario.eta_inv,
-        scenario.eta_bar,
-        scenario.dt,
-    )
-    floor = config.terminal_soc_min
-    if floor is not None:
-        short = [
-            "%s ends at %.6g kWh" % (h.id, soc[-1])
-            for h, soc in zip(scenario.households, trace.soc)
-            if soc[-1] < floor - TERMINAL_TOL
-        ]
-        if short:
-            raise GridShareError(
-                "terminal_soc_min %g missed: %s" % (floor, ", ".join(short))
-            )
-    return config, schedules
-
-
 @main.command()
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
 @click.option("--result", "result_path", required=True, type=click.Path())
@@ -230,11 +149,11 @@ def certify(scenario_path, result_path):
     try:
         with open(result_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, an overlong int
         click.echo("error: cannot read result document: %s" % exc, err=True)
         sys.exit(1)
     try:
-        config, schedules = _read_result(doc, scenario)
+        config, schedules = read_result(doc, scenario)
     except GridShareError as exc:
         click.echo("error: invalid result document: %s" % exc, err=True)
         sys.exit(1)

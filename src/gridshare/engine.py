@@ -29,15 +29,16 @@ nothing moves up, and on the check grids it certifies the state.
 ``max_sweeps`` bounds every pass; a state not certified (cycle or budget)
 is measured by one check pass that adopts nothing.  The check grids are
 the ones :func:`_check_config` picks: in exact mode the game's own, where
-the search is exact, so the clean sweep certifies; in grid mode finer
-ones, where the certificate is the same search that polished the state,
-not an independent check.
+the search is exact for the candidate lattice, not for the continuous game,
+so the clean sweep certifies; in grid mode finer ones, where the certificate
+is the same search that polished the state, not an independent check.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -46,7 +47,7 @@ import numpy as np
 from . import billing
 from .decisions import Schedule, audit_community
 from .errors import GridShareError, InfeasibleConfigError
-from .scenario import Scenario
+from .scenario import Scenario, _brief, finite_number
 
 #: slack below terminal_soc_min that a final SOC may end at, here and in certify
 TERMINAL_TOL = 1e-9
@@ -56,14 +57,6 @@ _MAX_BLOCK = 10**7  # max cells of one (state, P, Q) stage block
 _LOCAL_POINTS = 41  # cap on the local SOC points of a refinement round
 _ANCHORS = 9  # uniform SOC points added to every local grid
 _OFFSETS = 7  # extra actions around the incumbent in a refinement round
-
-
-def _finite(value) -> bool:
-    """Whether ``value`` is a number with a finite float value."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 @dataclass(frozen=True)
@@ -78,20 +71,24 @@ class GameConfig:
     terminal_soc_min: float | None = None
 
     def __post_init__(self):
-        if not (_finite(self.epsilon) and self.epsilon > 0):
+        # an int field takes any integral number, a float field any real, never a bool
+        if finite_number(self.epsilon) is None or self.epsilon <= 0:
             raise GridShareError("epsilon must be finite and > 0")
-        if self.max_sweeps < 1:
-            raise GridShareError("max_sweeps must be >= 1")
-        if self.soc_grid < 2:
-            raise GridShareError("soc_grid must be >= 2")
-        if self.action_grid < 3:
-            raise GridShareError("action_grid must be >= 3")
+        ints = (("max_sweeps", 1), ("soc_grid", 2), ("action_grid", 3), ("seed", 0))
+        for name, low in ints:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise GridShareError(
+                    "%s must be an int, got %s" % (name, _brief(value))
+                )
+            if value < low:
+                raise GridShareError("%s must be >= %d" % (name, low))
         # the largest block a grid-mode _respond builds is a taker's, (states,
         # n_act + 1 + extras, n_act + extras): round 0 has soc_grid states and
         # 1 extra, a later round at most min(soc_grid, _LOCAL_POINTS) +
         # _ANCHORS + 1 (the center) states and _OFFSETS extras, and a floor
         # adds a state; exhaustive blocks stay under _EXACT_CAP
-        n, k = self.soc_grid, self.action_grid
+        n, k = int(self.soc_grid), int(self.action_grid)  # a numpy int could wrap
         local_states = min(n, _LOCAL_POINTS) + _ANCHORS + 2
         cells = max(
             (n + 1) * (k + 2) * (k + 1),
@@ -99,12 +96,11 @@ class GameConfig:
         )
         if cells > _MAX_BLOCK:
             raise GridShareError(
-                "soc_grid %d with action_grid %d needs %d-cell stage blocks, "
-                "more than %d" % (self.soc_grid, self.action_grid, cells, _MAX_BLOCK)
+                "soc_grid %s with action_grid %s needs stage blocks of more than "
+                "%d cells" % (_brief(n), _brief(k), _MAX_BLOCK)
             )
-        if self.seed < 0:
-            raise GridShareError("seed must be >= 0")
-        if self.terminal_soc_min is not None and not _finite(self.terminal_soc_min):
+        floor = self.terminal_soc_min
+        if floor is not None and finite_number(floor) is None:
             raise GridShareError("terminal_soc_min must be None or finite")
 
 
@@ -389,6 +385,9 @@ def _terminal_values(env: _Env, grid: np.ndarray) -> np.ndarray:
 def _dp(env, grids, n_act, extras_a, extras_e):
     """Backward pass over the SOC grids, then a rollout from the exact s0.
 
+    Returns the rolled-out (a, e) and its SOC path, bit for bit the one
+    :func:`_soc_trajectory` replays.
+
     Interval t's candidates are the region samples plus ``extras_a[t]`` and
     ``extras_e[t]``; a successor SOC takes the value interpolated linearly
     between its two neighbouring cells (a cell's own value on a cell).
@@ -426,7 +425,8 @@ def _dp(env, grids, n_act, extras_a, extras_e):
 
     a_out = np.zeros(horizon)
     e_out = np.zeros(horizon)
-    s = env.s0
+    soc_out = np.zeros(horizon + 1)
+    s = soc_out[0] = env.s0
     for t in range(horizon):
         a, e, cost, nxt = _stage(env, t, np.array([s]), n_act, extras_a[t], extras_e[t])
         add_value_after(t, cost, nxt)
@@ -451,8 +451,8 @@ def _dp(env, grids, n_act, extras_a, extras_e):
         best = np.lexsort((nxt, np.abs(e), np.abs(a), total[ties]))[0]
         a_out[t] = a[best]
         e_out[t] = e[best]
-        s = float(nxt[best])
-    return a_out, e_out
+        s = soc_out[t + 1] = float(nxt[best])
+    return a_out, e_out, soc_out
 
 
 def _exhaustive(taker: np.ndarray, n_act: int, cap: int) -> bool:
@@ -511,11 +511,12 @@ def _respond(scenario, A, E, m, config):
     env = _Env(scenario, A, E, m, config.terminal_soc_min)
     n_act = config.action_grid
     best_a, best_e = A[m], E[m]
-    floor_cost = _terminal_values(env, _soc_trajectory(env, best_a, best_e)[-1:])[0]
+    best_soc = _soc_trajectory(env, best_a, best_e)
+    floor_cost = _terminal_values(env, best_soc[-1:])[0]
     old_bill = best_bill = _bill_of(env, best_a, best_e) + float(floor_cost)
     if _exhaustive(env.taker, n_act, _EXACT_CAP):
         none = np.zeros((env.horizon, 0))
-        a, e = _dp(env, _reachable_grids(env, n_act), n_act, none, none)
+        a, e, _ = _dp(env, _reachable_grids(env, n_act), n_act, none, none)
         bill = _bill_of(env, a, e)
         if bill < best_bill:
             best_a, best_e, best_bill = a, e, bill
@@ -528,16 +529,15 @@ def _respond(scenario, A, E, m, config):
                 offsets = np.zeros(1)
             else:
                 sigma = span * 0.5**k
-                traj = _soc_trajectory(env, best_a, best_e)
-                grids = _local_grids(env, traj, config.soc_grid, sigma)
+                grids = _local_grids(env, best_soc, config.soc_grid, sigma)
                 offsets = sigma * np.linspace(-1.0, 1.0, _OFFSETS)
             extras_a = best_a[:, None] + offsets
             extras_e = best_e[:, None] + offsets
-            a, e = _dp(env, grids, n_act, extras_a, extras_e)
+            a, e, soc = _dp(env, grids, n_act, extras_a, extras_e)
             bill = _bill_of(env, a, e)
             if bill < best_bill - 1e-15:
                 gain = best_bill - bill
-                best_a, best_e, best_bill = a, e, bill
+                best_a, best_e, best_soc, best_bill = a, e, soc, bill
                 stale = 0 if gain > config.epsilon * 1e-3 else stale + 1
             else:
                 stale += 1
@@ -571,11 +571,11 @@ def _check_config(scenario: Scenario, config: GameConfig) -> GameConfig:
     """The config whose grids check a state of the game played on ``config``.
 
     The game's own grids when every household's candidate tree fits
-    ``_EXACT_CAP``, since that search is exact; else twice the game's
-    ``soc_grid`` and ``action_grid``.  That is 2x finer in actions, but in
-    SOC only in refinement round 0 once ``soc_grid`` exceeds 20, since
-    :func:`_local_grids` caps every later round at ``_LOCAL_POINTS`` points
-    plus ``_ANCHORS`` anchors.
+    ``_EXACT_CAP``, since that search is exact for the candidate lattice,
+    not for the continuous game; else twice the game's ``soc_grid`` and
+    ``action_grid``.  That is 2x finer in actions, but in SOC only in
+    refinement round 0 once ``soc_grid`` exceeds 20, since :func:`_local_grids`
+    caps every later round at ``_LOCAL_POINTS`` points plus ``_ANCHORS`` anchors.
     Those grids meet GameConfig's stage-block bound or raise GridShareError.
     """
     n_act = config.action_grid

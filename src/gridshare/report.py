@@ -1,4 +1,4 @@
-"""Run orchestration and machine-readable result emission.
+"""Run orchestration, and the machine-readable result written and read back.
 
 ``run`` solves the no-battery/no-sharing baseline and (unless asked not
 to) the game, and packages both into a RunReport.  ``emit`` writes three
@@ -30,9 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import billing
-from .engine import EquilibriumResult, GameConfig, solve
+from .decisions import Schedule, audit_community
+from .engine import TERMINAL_TOL, EquilibriumResult, GameConfig, solve
 from .errors import GridShareError
-from .scenario import Scenario
+from .scenario import Scenario, number_series
 
 RESULT_SCHEMA_VERSION = 3
 
@@ -164,6 +165,74 @@ def result_document(report: RunReport) -> dict:
             },
         }
     return doc
+
+
+def _config_from_doc(cfg) -> GameConfig:
+    """A result's ``config`` section as a GameConfig, which judges its values."""
+    if not isinstance(cfg, dict):
+        raise GridShareError("config must be a mapping")
+    names = [f.name for f in dataclasses.fields(GameConfig)]
+    unknown = [name for name in cfg if name not in names]
+    if unknown:
+        raise GridShareError("unknown config key %r" % unknown[0])
+    missing = [name for name in names if name not in cfg]
+    if missing:
+        raise GridShareError("config is missing %s" % ", ".join(missing))
+    try:
+        return GameConfig(**cfg)
+    except GridShareError as exc:
+        raise GridShareError("config.%s" % exc) from None
+
+
+def read_result(doc, scenario: Scenario):
+    """(config, schedules) of a parsed result document for ``scenario``.
+
+    Raises GridShareError naming the first malformed part, or every
+    household whose replayed schedule ends below ``terminal_soc_min``.
+    """
+    if not isinstance(doc, dict) or not isinstance(doc.get("game"), dict):
+        raise GridShareError("no game section")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != RESULT_SCHEMA_VERSION:
+        raise GridShareError(
+            "schema_version: expected %d, got %r" % (RESULT_SCHEMA_VERSION, version)
+        )
+    if doc.get("scenario_digest") != scenario.digest():
+        raise GridShareError("scenario digest mismatch with result document")
+    config = _config_from_doc(doc.get("config"))
+    households = doc["game"].get("households")
+    schedules = []
+    for h in scenario.households:
+        entry = households.get(h.id) if isinstance(households, dict) else None
+        if not isinstance(entry, dict):
+            raise GridShareError("game.households.%s is missing" % h.id)
+        series = [number_series(entry.get(key)) for key in ("a", "e")]
+        if not all(
+            s is not None and len(s) == scenario.horizon and np.all(np.isfinite(s))
+            for s in series
+        ):
+            raise GridShareError(
+                "game.households.%s: a and e need %d finite numbers each"
+                % (h.id, scenario.horizon)
+            )
+        schedules.append(Schedule(*series))
+    # a schedule outside its feasible region can show a bill no feasible
+    # deviation beats, so replay it before measuring any gain
+    trace = audit_community(
+        scenario.households, schedules, scenario.eta_inv, scenario.eta_bar, scenario.dt
+    )
+    floor = config.terminal_soc_min
+    if floor is not None:
+        short = [
+            "%s ends at %.6g kWh" % (h.id, soc[-1])
+            for h, soc in zip(scenario.households, trace.soc)
+            if soc[-1] < floor - TERMINAL_TOL
+        ]
+        if short:
+            raise GridShareError(
+                "terminal_soc_min %g missed: %s" % (floor, ", ".join(short))
+            )
+    return config, schedules
 
 
 def _fmt(value: float) -> str:

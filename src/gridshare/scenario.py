@@ -134,8 +134,24 @@ def _is_count(value) -> bool:
 
 
 def _brief(value) -> str:
-    text = repr(value)
+    """``repr(value)`` cut to 40 characters; never fails on a long int."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int longer than Python converts to text
+        return "an int of %d bits" % value.bit_length()
     return text if len(text) <= 40 else text[:37] + "..."
+
+
+def finite_number(value):
+    """``value`` as a float if it is a finite real number, not a bool; else None."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            return None
+        if math.isfinite(number):
+            return number
+    return None
 
 
 def number_series(value):
@@ -169,15 +185,10 @@ def _check_series(series, path, horizon, problems):
 
 def _number(value, path, problems):
     """``value`` as a finite float; else list a violation and return None."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    problems.append("%s: must be a finite number, got %s" % (path, _brief(value)))
-    return None
+    number = finite_number(value)
+    if number is None:
+        problems.append("%s: must be a finite number, got %s" % (path, _brief(value)))
+    return number
 
 
 def _series(value, path, problems):

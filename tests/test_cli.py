@@ -482,6 +482,10 @@ def test_certify_checks_the_intact_baseline_document(runner, baseline_result):
         pytest.param(
             lambda doc: doc["config"].update(terminal_soc_min=10**400), id="huge-floor"
         ),
+        # values of the wrong type
+        pytest.param(lambda doc: doc["config"].update(soc_grid=24.0), id="float-soc-grid"),
+        pytest.param(lambda doc: doc["config"].update(seed=True), id="bool-seed"),
+        pytest.param(lambda doc: doc["config"].update(epsilon=None), id="null-epsilon"),
     ],
 )
 def test_certify_rejects_bad_result_document(runner, baseline_result, corrupt):
@@ -514,6 +518,8 @@ def _unreadable(tmp_path, kind, name):
     path = tmp_path / name
     if kind == "directory":
         path.mkdir()
+    elif kind == "huge-int":  # longer than Python converts to an int
+        path.write_text('{"schema_version": %s}' % ("9" * 5000))
     else:
         path.write_bytes(NOT_UTF8)
     return path
@@ -538,7 +544,7 @@ def test_unreadable_scenario_is_input_error(runner, tmp_path, command, kind, mes
     assert message in result.output
 
 
-@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "huge-int"])
 def test_certify_rejects_unreadable_result(runner, baseline_result, kind):
     scen, _, path = baseline_result
     path = _unreadable(path.parent, kind, "unreadable.json")

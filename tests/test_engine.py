@@ -75,11 +75,27 @@ class TestGameConfig:
             # ints beyond the float range
             {"epsilon": 10**400},
             {"terminal_soc_min": 10**400},
+            # block sizes too long to print whole
+            {"soc_grid": 10**4299},
+            {"soc_grid": 10**5000},
+            # values of the wrong type
+            {"soc_grid": 24.0},
+            {"action_grid": 5.0},
+            {"max_sweeps": 2.5},
+            {"seed": 1.0},
+            {"epsilon": True},
+            {"terminal_soc_min": True},
+            {"epsilon": "1e-6"},
+            {"epsilon": None},
         ],
     )
     def test_invalid_config_rejected(self, overrides):
         with pytest.raises(GridShareError):
             GameConfig(**overrides)
+
+    def test_numpy_ints_are_accepted(self):
+        config = GameConfig(soc_grid=np.int64(64), action_grid=np.int32(9))
+        assert config.soc_grid == 64 and config.action_grid == 9
 
     @pytest.mark.parametrize(
         "grids", [(64, 9), (128, 18), (256, 36)], ids=["default", "check", "4x-check"]
@@ -641,8 +657,9 @@ class TestStageReduction:
             extras_a = A[m][:, None] + offsets
             extras_e = E[m][:, None] + offsets
             ref_a, ref_e, values = flat_dp(env, grids, n_act, extras_a, extras_e)
-            a, e = _dp(env, grids, n_act, extras_a, extras_e)
+            a, e, soc = _dp(env, grids, n_act, extras_a, extras_e)
             assert np.array_equal(a, ref_a) and np.array_equal(e, ref_e), case
+            assert soc.tobytes() == _soc_trajectory(env, a, e).tobytes(), case
             seen["taker"] += int(env.taker.sum())
             seen["giver"] += int((~env.taker).sum())
             seen["inf"] += int(any(np.isinf(v).any() for v in values[1:]))
@@ -701,9 +718,10 @@ class TestEmptyPool:
             ref_a, ref_e, _ = flat_dp(
                 env, grids, n_act, extras_a, extras_e, stage=lattice_stage
             )
-            a, e = _dp(env, grids, n_act, extras_a, extras_e)
+            a, e, soc = _dp(env, grids, n_act, extras_a, extras_e)
             assert a.tobytes() == ref_a.tobytes(), case
             assert e.tobytes() == ref_e.tobytes(), case
+            assert soc.tobytes() == _soc_trajectory(env, a, e).tobytes(), case
             empty = env.taker & ~(env.pool_avail > 0.0)
             seen["empty"] += int(empty.sum())
             seen["negative_zero"] += int(np.signbit(e[empty]).sum())
@@ -762,7 +780,7 @@ class TestValueLookup:
             env = _Env(scenario, A, E, m, 6.0)
             grids = [_uniform_grid(env, 24)] * (env.horizon + 1)
             none = np.zeros((env.horizon, 0))
-            a, e = _dp(env, grids, 5, none, none)
+            a, e, _ = _dp(env, grids, 5, none, none)
             assert _soc_trajectory(env, a, e)[-1] >= 6.0 - 1e-9
         assert sum(inf_between_cells) > 0
 
@@ -799,7 +817,8 @@ def dfs_best(env, n_act):
 
 def exhaustive_dp(env, n_act):
     none = np.zeros((env.horizon, 0))
-    return _dp(env, _reachable_grids(env, n_act), n_act, none, none)
+    a, e, _ = _dp(env, _reachable_grids(env, n_act), n_act, none, none)
+    return a, e
 
 
 class TestExhaustiveSearch:

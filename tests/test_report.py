@@ -10,6 +10,7 @@ from gridshare import GameConfig, TariffParams, daily_bill, run, synth_scenario
 from gridshare.report import (
     baseline_loads,
     emit,
+    read_result,
     result_document,
     run_baseline,
     traces_table,
@@ -87,6 +88,21 @@ class TestResultDocument:
         _, report = small_report
         text = json.dumps(result_document(report))
         assert "wall_time" not in text
+
+    @pytest.mark.parametrize("day", ["small", "floor"])
+    def test_document_reads_back_exactly(self, small_report, day):
+        if day == "small":
+            scenario, report = small_report
+        else:
+            scenario = synth_scenario(2, 6, seed=5)
+            floored = GameConfig(soc_grid=24, action_grid=5, terminal_soc_min=6.0)
+            report = run(scenario, floored)
+        doc = json.loads(json.dumps(result_document(report), sort_keys=True, indent=2))
+        config, schedules = read_result(doc, scenario)
+        assert config == report.config
+        for got, want in zip(schedules, report.equilibrium.schedules, strict=True):
+            assert got.a.tobytes() == want.a.tobytes()
+            assert got.e.tobytes() == want.e.tobytes()
 
 
 class TestEmission:
