@@ -19,6 +19,13 @@ from .errors import InfeasibleActionError, InvalidBatteryParamsError
 #: tolerance applied when checking a state-of-charge against its bounds
 SOC_TOL = 1e-9
 
+# A valid scenario's energies, rates and base price are at most MAX_MAGNITUDE
+# and its efficiencies at least MIN_EFFICIENCY.  A load is then at most about
+# 25 * 1e30 (net demand plus rho_plus * dt, dt <= 24 h), so a stage cost is at
+# most about 1.7e94 * M**2, and a DP value or a bill adds at most T of those.
+MAX_MAGNITUDE = 1e30
+MIN_EFFICIENCY = 1e-6
+
 
 @dataclass(frozen=True)
 class BatteryParams:
@@ -28,25 +35,24 @@ class BatteryParams:
     s_max: float
     rho_plus: float   # CC-stage charging rate, > 0
     rho_minus: float  # discharging rate, < 0
-    rho_bar: float    # self-discharging rate per hour, < 0
-    eta_plus: float   # charging efficiency, in (0, 1]
-    eta_minus: float  # discharging efficiency, in (0, 1]
+    rho_bar: float    # hourly self-discharge rate in [-1, 0): (1 + rho_bar)**dt is real
+    eta_plus: float   # charging efficiency, in [MIN_EFFICIENCY, 1]
+    eta_minus: float  # discharging efficiency, in [MIN_EFFICIENCY, 1]
     gamma_2: float    # CV-stage exponential time constant, > 0
 
     def __post_init__(self):
         problems = []
-        if not (0.0 <= self.s_min < self.s_max):
-            problems.append("require 0 <= s_min < s_max")
-        if not self.rho_plus > 0.0:
-            problems.append("rho_plus must be > 0")
-        if not self.rho_minus < 0.0:
-            problems.append("rho_minus must be < 0")
-        if not self.rho_bar < 0.0:
-            problems.append("rho_bar must be < 0")
-        if not (0.0 < self.eta_plus <= 1.0):
-            problems.append("eta_plus must be in (0, 1]")
-        if not (0.0 < self.eta_minus <= 1.0):
-            problems.append("eta_minus must be in (0, 1]")
+        if not (0.0 <= self.s_min < self.s_max <= MAX_MAGNITUDE):
+            problems.append("require 0 <= s_min < s_max <= %g" % MAX_MAGNITUDE)
+        if not 0.0 < self.rho_plus <= MAX_MAGNITUDE:
+            problems.append("rho_plus must be > 0 and <= %g" % MAX_MAGNITUDE)
+        if not -MAX_MAGNITUDE <= self.rho_minus < 0.0:
+            problems.append("rho_minus must be < 0 and >= %g" % -MAX_MAGNITUDE)
+        if not -1.0 <= self.rho_bar < 0.0:
+            problems.append("rho_bar must be in [-1, 0)")
+        for name in ("eta_plus", "eta_minus"):
+            if not MIN_EFFICIENCY <= getattr(self, name) <= 1.0:
+                problems.append("%s must be in [%g, 1]" % (name, MIN_EFFICIENCY))
         if not self.gamma_2 > 0.0:
             problems.append("gamma_2 must be > 0")
         if not problems:

@@ -71,9 +71,11 @@ class GameConfig:
     terminal_soc_min: float | None = None
 
     def __post_init__(self):
-        # an int field takes any integral number, a float field any real, never a bool
-        if finite_number(self.epsilon) is None or self.epsilon <= 0:
+        # Integral int fields, Real float fields, no bools; stored as plain int, float
+        epsilon = finite_number(self.epsilon)
+        if epsilon is None or epsilon <= 0:
             raise GridShareError("epsilon must be finite and > 0")
+        object.__setattr__(self, "epsilon", epsilon)
         ints = (("max_sweeps", 1), ("soc_grid", 2), ("action_grid", 3), ("seed", 0))
         for name, low in ints:
             value = getattr(self, name)
@@ -83,12 +85,13 @@ class GameConfig:
                 )
             if value < low:
                 raise GridShareError("%s must be >= %d" % (name, low))
+            object.__setattr__(self, name, int(value))
         # the largest block a grid-mode _respond builds is a taker's, (states,
         # n_act + 1 + extras, n_act + extras): round 0 has soc_grid states and
         # 1 extra, a later round at most min(soc_grid, _LOCAL_POINTS) +
         # _ANCHORS + 1 (the center) states and _OFFSETS extras, and a floor
         # adds a state; exhaustive blocks stay under _EXACT_CAP
-        n, k = int(self.soc_grid), int(self.action_grid)  # a numpy int could wrap
+        n, k = self.soc_grid, self.action_grid
         local_states = min(n, _LOCAL_POINTS) + _ANCHORS + 2
         cells = max(
             (n + 1) * (k + 2) * (k + 1),
@@ -99,9 +102,10 @@ class GameConfig:
                 "soc_grid %s with action_grid %s needs stage blocks of more than "
                 "%d cells" % (_brief(n), _brief(k), _MAX_BLOCK)
             )
-        floor = self.terminal_soc_min
-        if floor is not None and finite_number(floor) is None:
+        floor = finite_number(self.terminal_soc_min)
+        if floor is None and self.terminal_soc_min is not None:
             raise GridShareError("terminal_soc_min must be None or finite")
+        object.__setattr__(self, "terminal_soc_min", floor)
 
 
 @dataclass
@@ -342,22 +346,19 @@ def _stage(env, t, s, n_act, extra_a, extra_e):
         np.multiply(a_cap, fr, out=a[:, :, :n_act])
         np.minimum(np.maximum(extra_a, 0.0), a_cap, out=a[:, :, n_act:])
         loads = a
-    # loads * (gap * gap + p0) in place; an overflowed cost is +inf, which
-    # ranks as infeasible
-    with np.errstate(over="ignore"):
-        cost = loads + (float(env.l_others[t]) - float(env.g[t]))
-        cost *= cost
-        cost += env.p0
-        cost *= loads
+    # loads * (gap * gap + p0) in place, finite within the scenario's bounds
+    cost = loads + (float(env.l_others[t]) - float(env.g[t]))
+    cost *= cost
+    cost += env.p0
+    cost *= loads
     return a, e, cost, _transition(env, t, s, a, e)
 
 
 def _bill_of(env: _Env, a: np.ndarray, e: np.ndarray) -> float:
     """Exact daily bill of a schedule against the frozen others."""
     loads = np.where(env.taker, env.d + a + e, a)
-    with np.errstate(over="ignore"):  # an overflowed term is +inf
-        gap = loads + env.l_others - env.g
-        terms = loads * (gap * gap + env.p0)
+    gap = loads + env.l_others - env.g
+    terms = loads * (gap * gap + env.p0)
     return math.fsum(terms.tolist())
 
 
@@ -391,8 +392,9 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     Interval t's candidates are the region samples plus ``extras_a[t]`` and
     ``extras_e[t]``; a successor SOC takes the value interpolated linearly
     between its two neighbouring cells (a cell's own value on a cell).
-    Next to an inf cell (below ``terminal_soc_min``) that value is inf,
-    never NaN; under a floor each grid also holds its interval's
+    A validated scenario's costs are finite (see ``battery.MAX_MAGNITUDE``),
+    so only a cell below ``terminal_soc_min`` is inf.  Next to one that value
+    is inf, never NaN; under a floor each grid also holds its interval's
     :attr:`_Env.floor_path` entry, so the last feasible SOC is a node.
 
     Each stage is one (state, P, Q) block from :func:`_stage`.  A taker's
@@ -408,19 +410,13 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     ]
     values = [None] * (horizon + 1)
     values[horizon] = _terminal_values(env, grids[horizon])
-
-    def add_value_after(t, cost, nxt):
-        # an overflowed total is +inf, which ranks as infeasible
-        with np.errstate(over="ignore"):
-            cost += np.interp(nxt, grids[t + 1], values[t + 1])
-
     for t in range(horizon - 1, 0, -1):
         # a stage's arrays stay bound until the next stage has built its own:
         # freed at once, they let malloc trim the heap, and regrowing it took
         # the flagship's solves from start seeds 0-4 from 1.56M to 2.07M
         # minor page faults in all (seed 0 alone went from 99k to 68k)
         a, e, cost, nxt = _stage(env, t, grids[t], n_act, extras_a[t], extras_e[t])
-        add_value_after(t, cost, nxt)
+        cost += np.interp(nxt, grids[t + 1], values[t + 1])
         values[t] = cost.reshape(len(cost), -1).min(axis=1)
 
     a_out = np.zeros(horizon)
@@ -429,22 +425,16 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     s = soc_out[0] = env.s0
     for t in range(horizon):
         a, e, cost, nxt = _stage(env, t, np.array([s]), n_act, extras_a[t], extras_e[t])
-        add_value_after(t, cost, nxt)
+        cost += np.interp(nxt, grids[t + 1], values[t + 1])
         total = cost.ravel()  # action-major for takers, offer-major for givers
-        if not np.isfinite(total).any():
-            if env.terminal_min is None:
-                raise InfeasibleConfigError(
-                    "no schedule of finite cost from SOC %g at t=%d" % (s, t)
-                )
+        if not np.isfinite(total).any():  # every candidate strands the floor
             raise InfeasibleConfigError(
                 "terminal_soc_min %g unreachable from SOC %g at t=%d"
                 % (env.terminal_min, s, t)
             )
         # deterministic tie-breaking: cost, then |a|, then |e|, then SOC, over
-        # the pairs at the least cost; a NaN cost sorts last, so a NaN minimum
-        # keeps every pair
-        low = total.min()
-        ties = np.flatnonzero(total == low) if low == low else np.arange(total.size)
+        # the pairs at the least cost
+        ties = np.flatnonzero(total == total.min())
         _, p, q = np.unravel_index(ties, cost.shape)
         # a, e and nxt each span the P axis and either Q or 1 along Q
         a, e, nxt = (x[0, p, q % x.shape[2]] for x in (a, e, nxt))

@@ -59,25 +59,14 @@ class BaselineResult:
 
 
 def run_baseline(scenario: Scenario) -> BaselineResult:
-    """The day with batteries idle and no sharing.
-
-    Raises GridShareError if its aggregated load or tracking error exceeds
-    the float range, which valid but huge energies can make them do.
-    """
+    """The day with batteries idle and no sharing, for a validated scenario."""
     loads = baseline_loads(scenario)
-    with np.errstate(over="ignore"):
-        try:
-            aggregated = np.array([math.fsum(column) for column in loads.T.tolist()])
-            error = tracking_error(aggregated, scenario.tariff.generation)
-        except OverflowError:  # an intermediate overflow in math.fsum
-            error = math.inf
-    if error == math.inf:
-        raise GridShareError("the baseline's tracking error exceeds the float range")
+    aggregated = np.array([math.fsum(column) for column in loads.T.tolist()])
     return BaselineResult(
         loads=loads,
         aggregated=aggregated,
         bills=billing.community_bills(loads, scenario.tariff),
-        tracking_error=error,
+        tracking_error=tracking_error(aggregated, scenario.tariff.generation),
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 import yaml
 
-from .battery import BatteryParams, residential_battery
+from .battery import MAX_MAGNITUDE, MIN_EFFICIENCY, BatteryParams, residential_battery
 from .billing import TariffParams
 from .decisions import HouseholdProfile, net_demand
 from .errors import InvalidBatteryParamsError, ScenarioValidationError
@@ -57,12 +57,16 @@ class Scenario:
                 "T: must be a positive integer, got %s" % _brief(self.horizon)
             )
         for name, eta in (("eta_inv", self.eta_inv), ("eta_bar", self.eta_bar)):
-            if eta is not None and not 0.0 < eta <= 1.0:
-                problems.append("%s: must be in (0, 1], got %g" % (name, eta))
+            if eta is not None and not MIN_EFFICIENCY <= eta <= 1.0:
+                problems.append(
+                    "%s: must be in [%g, 1], got %g" % (name, MIN_EFFICIENCY, eta)
+                )
         tariff = self.tariff
         if tariff is not None:
-            if tariff.p0 is not None and not 0.0 < tariff.p0 < math.inf:
-                problems.append("tariff.p0: must be finite and > 0, got %g" % tariff.p0)
+            if tariff.p0 is not None and not 0.0 < tariff.p0 <= MAX_MAGNITUDE:
+                problems.append(
+                    "tariff.p0: must be in (0, %g], got %g" % (MAX_MAGNITUDE, tariff.p0)
+                )
             _check_series(tariff.generation, "tariff.generation", horizon, problems)
         if self.households == []:
             problems.append("households: at least one household is required")
@@ -177,10 +181,12 @@ def _check_series(series, path, horizon, problems):
         problems.append(
             "%s: expected %d entries, got %d" % (path, horizon, len(series))
         )
-    if not np.all(np.isfinite(series)):
+    if not np.isfinite(series).all():
         problems.append("%s: entries must be finite" % path)
-    elif np.any(series < 0):
+    elif (series < 0).any():
         problems.append("%s: entries must be >= 0" % path)
+    elif (series > MAX_MAGNITUDE).any():
+        problems.append("%s: entries must be <= %g" % (path, MAX_MAGNITUDE))
 
 
 def _number(value, path, problems):

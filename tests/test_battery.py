@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridshare import BatteryParams, phi_minus, phi_plus, soc_next_giver, soc_next_taker
-from gridshare.battery import residential_battery, self_discharge
+from gridshare.battery import (
+    MAX_MAGNITUDE,
+    MIN_EFFICIENCY,
+    residential_battery,
+    self_discharge,
+)
 from gridshare.errors import InfeasibleActionError, InvalidBatteryParamsError
 
 from conftest import simple_battery
@@ -250,6 +255,41 @@ class TestParamValidation:
     def test_invalid_params_rejected(self, overrides):
         with pytest.raises(InvalidBatteryParamsError):
             simple_battery(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"s_max": 2e30}, "s_max"),
+            ({"rho_plus": 2e30}, "rho_plus"),
+            ({"rho_minus": -2e30}, "rho_minus"),
+            ({"rho_bar": -1.5}, "rho_bar"),
+            ({"eta_plus": 1e-7}, "eta_plus"),
+            ({"eta_minus": 1e-7}, "eta_minus"),
+        ],
+    )
+    def test_range_bound_names_its_field_once(self, overrides, field):
+        with pytest.raises(InvalidBatteryParamsError) as exc:
+            simple_battery(**overrides)
+        assert str(exc.value).count(field) == 1, str(exc.value)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # at s_max = 1e30 a CV span of 3.3 rounds away, so rho_plus grows too
+            {"s_max": MAX_MAGNITUDE, "rho_plus": MAX_MAGNITUDE, "gamma_2": 0.5},
+            {"rho_minus": -MAX_MAGNITUDE},
+            {"rho_bar": -1.0},
+            {"eta_plus": MIN_EFFICIENCY, "eta_minus": MIN_EFFICIENCY},
+        ],
+    )
+    def test_values_at_the_range_bounds_accepted(self, overrides):
+        simple_battery(**overrides)
+
+    def test_rho_bar_of_minus_one_empties_an_idle_battery(self):
+        # s_min = 0 here, so nothing holds the SOC up after one idle hour
+        bat = simple_battery(s_min=0.0, rho_bar=-1.0)
+        assert self_discharge(5.0, bat, 1.0) == 0.0
+        assert self_discharge(5.0, bat, 0.5) == 0.0
 
     def test_handover_below_reserve_rejected(self):
         # rho_plus * gamma_2 > s_max - s_min pushes the hand-over point

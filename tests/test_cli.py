@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
 from gridshare import GameConfig, cli
 from gridshare.cli import main
+from gridshare.scenario import load_scenario, save_scenario
 
 
 @pytest.fixture
@@ -268,9 +270,9 @@ class TestSolveCommand:
         assert not (out / "result.json").exists()
 
     def test_no_finite_cost_schedule_is_input_error(self, runner, tmp_path):
-        # p0 = 1e308 passes validation, but every candidate's cost overflows
-        # to inf; run as a process, as pytest makes numpy's overflow warning
-        # an error
+        # at p0 = 1e308 every candidate's cost would overflow to inf, so the
+        # validator rejects it; run as a process, where numpy's overflow
+        # warning would print rather than raise
         scen = synth_file(runner, tmp_path / "scen.yaml", households=2, intervals=6)
         data = yaml.safe_load(scen.read_text())
         data["tariff"]["p0"] = 1.0e308
@@ -280,12 +282,12 @@ class TestSolveCommand:
         stderr = proc.stderr.decode()
         assert proc.returncode == 1, stderr
         assert "Traceback" not in stderr
-        assert "error: no schedule of finite cost from SOC" in stderr
+        assert stderr == "scenario invalid:\n  - tariff.p0: must be in (0, 1e+30], got 1e+308\n"
         assert not (out / "result.json").exists()
 
     def test_baseline_overflow_is_input_error(self, runner, tmp_path):
-        # generation 1e154 passes validation, but the squared gaps of the
-        # tracking error sum past the float range
+        # at generation 1e154 the squared gaps of the tracking error would sum
+        # past the float range, so the validator rejects it
         scen = synth_file(runner, tmp_path / "scen.yaml", households=2, intervals=6)
         data = yaml.safe_load(scen.read_text())
         data["tariff"]["generation"] = [1e154] * 6
@@ -297,7 +299,7 @@ class TestSolveCommand:
         assert result.exit_code == 1, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.output == (
-            "error: the baseline's tracking error exceeds the float range\n"
+            "scenario invalid:\n  - tariff.generation: entries must be <= 1e+30\n"
         )
         assert not (out / "result.json").exists()
 
@@ -542,6 +544,86 @@ def test_unreadable_scenario_is_input_error(runner, tmp_path, command, kind, mes
     assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert message in result.output
+
+
+def _tiny_efficiencies(doc):
+    doc["eta_inv"] = doc["eta_bar"] = 1e-300
+    for h in doc["households"]:
+        h["battery"].update(eta_plus=1e-300, eta_minus=1e-300)
+
+
+def _rho_bar_minus_two(doc):
+    for h in doc["households"]:
+        h["battery"]["rho_bar"] = -2.0
+
+
+def _huge_p0(doc):
+    doc["tariff"]["p0"] = 1e300
+
+
+def _huge_battery(doc):
+    for h in doc["households"]:
+        h["battery"].update(s_min=1e290, s_max=3e290, rho_plus=1e290, rho_minus=-1e290)
+        h["initial_soc"] = 2e290
+
+
+@pytest.mark.parametrize(
+    "intervals, edit, listed",
+    [
+        (6, _tiny_efficiencies, ["  - eta_inv: must be in", "battery: eta_plus must be in"]),
+        # at a fractional dt, (1 + rho_bar) ** dt is complex
+        (5, _rho_bar_minus_two, ["battery: rho_bar must be in [-1, 0)"]),
+        (6, _huge_p0, ["  - tariff.p0: must be in (0, 1e+30], got 1e+300"]),
+        (6, _huge_battery, ["battery: require 0 <= s_min < s_max <= 1e+30"]),
+    ],
+    ids=["efficiency-1e-300", "rho-bar-minus-two", "p0-1e300", "battery-1e290"],
+)
+def test_day_beyond_the_numeric_range_fails_check_and_solve(
+    runner, tmp_path, intervals, edit, listed
+):
+    # check accepts exactly the days solve can price
+    scen = synth_file(runner, tmp_path / "scen.yaml", intervals=intervals, seed=5)
+    doc = yaml.safe_load(scen.read_text())
+    edit(doc)
+    scen.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    check = ["check", "--scenario", str(scen)]
+    solve = ["solve", "--scenario", str(scen), "--out", str(out)]
+    for args in (check, solve + ["--soc-grid", "24", "--action-grid", "5"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output.startswith("scenario invalid:\n")
+        for text in listed:
+            assert text in result.output
+    assert not (out / "result.json").exists()
+
+
+def test_certify_rejects_a_day_beyond_the_numeric_range(runner, tmp_path):
+    # a solved day whose demands are then set to 1e308, with the result's
+    # digest set to match, so only the scenario's range stops certify
+    scen = synth_file(runner, tmp_path / "scen.yaml", intervals=2, seed=1)
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["solve", "--scenario", str(scen), "--out", str(out)]
+        + ["--soc-grid", "5", "--action-grid", "5", "--seed", "1"],
+    )
+    assert result.exit_code == 0, result.output
+    scenario = load_scenario(scen)
+    for h in scenario.households:
+        h.demand = np.full(scenario.horizon, 1e308)
+    save_scenario(scenario, scen)
+    doc = json.loads((out / "result.json").read_text())
+    doc["scenario_digest"] = scenario.digest()
+    (out / "result.json").write_text(json.dumps(doc))
+    result = runner.invoke(
+        main, ["certify", "--scenario", str(scen), "--result", str(out / "result.json")]
+    )
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.startswith("scenario invalid:\n")
+    assert "  - households[h1].demand: entries must be <= 1e+30" in result.output
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8", "huge-int"])

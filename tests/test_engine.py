@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gridshare import (
+    BatteryParams,
     GameConfig,
     Schedule,
     audit_community,
@@ -19,6 +22,8 @@ from gridshare import (
     sweep,
     synth_scenario,
 )
+from gridshare.battery import MAX_MAGNITUDE, MIN_EFFICIENCY
+from gridshare.billing import community_bills
 from gridshare.engine import (
     _Env,
     _bill_of,
@@ -35,7 +40,12 @@ from gridshare.engine import (
     _transition,
     _uniform_grid,
 )
-from gridshare.errors import GridShareError, InfeasibleConfigError
+from gridshare.errors import (
+    GridShareError,
+    InfeasibleConfigError,
+    InvalidBatteryParamsError,
+)
+from gridshare.report import run_baseline
 
 from conftest import community_bill, make_scenario, simple_battery
 
@@ -96,6 +106,18 @@ class TestGameConfig:
     def test_numpy_ints_are_accepted(self):
         config = GameConfig(soc_grid=np.int64(64), action_grid=np.int32(9))
         assert config.soc_grid == 64 and config.action_grid == 9
+        # stored as plain Python numbers, which JSON writes
+        config = GameConfig(
+            epsilon=np.float32(1e-6),
+            max_sweeps=np.int16(100),
+            soc_grid=np.int64(64),
+            action_grid=np.int32(9),
+            seed=np.uint8(3),
+            terminal_soc_min=np.float32(6.0),
+        )
+        for name in ("max_sweeps", "soc_grid", "action_grid", "seed"):
+            assert type(getattr(config, name)) is int, name
+        assert type(config.epsilon) is float and type(config.terminal_soc_min) is float
 
     @pytest.mark.parametrize(
         "grids", [(64, 9), (128, 18), (256, 36)], ids=["default", "check", "4x-check"]
@@ -932,3 +954,71 @@ class TestGoldenSchedules:
         A = np.array([s.a for s in result.schedules], dtype=float)
         E = np.array([s.e for s in result.schedules], dtype=float)
         assert hashlib.sha256(A.tobytes() + E.tobytes()).hexdigest() == digest
+
+
+ENERGY = st.just(0.0) | st.floats(min_value=1e-6, max_value=MAX_MAGNITUDE)
+EFFICIENCY = st.floats(min_value=MIN_EFFICIENCY, max_value=1.0)
+# no subnormal fraction, so no SOC starts where numpy would flag an underflow
+FRACTION = st.just(0.0) | st.floats(min_value=1e-6, max_value=1.0)
+
+
+@st.composite
+def battery_at_the_limits(draw):
+    """A valid battery whose energies, rates and efficiencies reach the range bounds."""
+    s_min = draw(ENERGY)
+    s_max = s_min + draw(st.floats(min_value=1e-6, max_value=MAX_MAGNITUDE))
+    assume(s_max <= MAX_MAGNITUDE)
+    rho_plus = draw(st.floats(min_value=1e-6, max_value=MAX_MAGNITUDE))
+    try:
+        bat = BatteryParams(
+            s_min=s_min,
+            s_max=s_max,
+            rho_plus=rho_plus,
+            rho_minus=-draw(st.floats(min_value=1e-6, max_value=MAX_MAGNITUDE)),
+            # 1 + rho_bar >= 1e-3 keeps a day's self-discharge above the
+            # subnormal range, where numpy would flag an underflow
+            rho_bar=draw(st.just(-1.0) | st.floats(min_value=-0.999, max_value=-1e-6)),
+            eta_plus=draw(EFFICIENCY),
+            eta_minus=draw(EFFICIENCY),
+            gamma_2=(s_max - s_min) * draw(st.floats(0.1, 0.9)) / rho_plus,
+        )
+    except InvalidBatteryParamsError:  # the hand-over SOC rounded out of range
+        assume(False)
+    return bat, s_min + draw(FRACTION) * (s_max - s_min)
+
+
+@st.composite
+def day_at_the_limits(draw):
+    """A validated day of M <= 3 households and T <= 4 intervals."""
+    M = draw(st.integers(1, 3))
+    T = draw(st.integers(1, 4))
+    series = st.lists(ENERGY, min_size=T, max_size=T)
+    batteries = [draw(battery_at_the_limits()) for _ in range(M)]
+    return make_scenario(
+        demands=[draw(series) for _ in range(M)],
+        re_outputs=[draw(series) for _ in range(M)],
+        generation=draw(series),
+        p0=draw(st.floats(min_value=1e-6, max_value=MAX_MAGNITUDE)),
+        eta_inv=draw(EFFICIENCY),
+        eta_bar=draw(EFFICIENCY),
+        batteries=[bat for bat, _ in batteries],
+        initial_socs=[min(soc, bat.s_max) for bat, soc in batteries],
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(day=day_at_the_limits())
+def test_days_at_the_range_limits_price_without_overflow(day):
+    # every float error raises, so no cost, value or bill leaves the float
+    # range.  The search runs through sweep, not solve: solve's replay checks
+    # feasibility to an absolute 1e-9, which rounding at 1e17 kWh can miss
+    config = GameConfig(soc_grid=8, action_grid=3)
+    with np.errstate(all="raise"):
+        A, E = initial_state(day, config)
+        schedules, _ = sweep(day, schedules_from_state(A, E), config)
+        A, E = _matrices(schedules)
+        d = day.net_demands()
+        bills = community_bills(np.where(d > 0.0, d + A + E, A), day.tariff)
+        baseline = run_baseline(day)
+    assert all(math.isfinite(b) for b in bills + baseline.bills)
+    assert math.isfinite(baseline.tracking_error)

@@ -106,6 +106,24 @@ class TestResultDocument:
 
 
 class TestEmission:
+    def test_numpy_config_fields_emit_and_read_back(self, tmp_path):
+        scenario = synth_scenario(2, 6, seed=5)
+        config = GameConfig(
+            epsilon=np.float32(1e-6),
+            soc_grid=np.int64(24),
+            action_grid=np.int32(5),
+            seed=np.uint8(3),
+            terminal_soc_min=np.float32(6.0),
+        )
+        report = run(scenario, config)
+        paths = emit(report, tmp_path)
+        doc = json.loads(paths["result"].read_text(encoding="utf-8"))
+        read, schedules = read_result(doc, scenario)
+        assert read == config
+        for got, want in zip(schedules, report.equilibrium.schedules, strict=True):
+            assert got.a.tobytes() == want.a.tobytes()
+            assert got.e.tobytes() == want.e.tobytes()
+
     def test_emitting_twice_is_byte_identical(self, small_report, tmp_path):
         _, report = small_report
         p1 = emit(report, tmp_path / "one")

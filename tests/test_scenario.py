@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gridshare import Scenario, load_scenario, save_scenario, synth_scenario
 from gridshare import scenario as scenario_mod
 from gridshare.errors import ScenarioValidationError
+from gridshare.battery import MAX_MAGNITUDE, MIN_EFFICIENCY
 from gridshare.scenario import SCHEMA_VERSION, scenario_from_dict
 
 
@@ -172,6 +173,15 @@ MALFORMED = [
     _one(H1 + ("id",), None, "households[0].id", "null-id"),
     _one(H1 + ("id",), [1, 2], "households[0].id", "list-id"),
     _one(H1 + ("id",), {"a": 1}, "households[0].id", "mapping-id"),
+    # the numeric range: each bound is listed once, under its field
+    _one(("tariff", "p0"), 2e30, "tariff.p0", "p0-above-range"),
+    _one(("eta_inv",), 1e-7, "eta_inv", "eta-inv-below-range"),
+    _one(("eta_bar",), 1e-7, "eta_bar", "eta-bar-below-range"),
+    _one(H1 + ("demand",), [2e30, 1.0], "households[h1].demand", "demand-above-range"),
+    _one(H1 + ("re_output",), [0.0, 2e30], "households[h1].re_output", "re-above-range"),
+    _one(("tariff", "generation"), [1.0, 2e30], "tariff.generation", "gen-above-range"),
+    _one(H1 + ("battery", "s_max"), 2e30, "households[h1].battery", "s-max-above-range"),
+    _one(H1 + ("battery", "rho_bar"), -2.0, "households[h1].battery", "rho-bar-below-range"),
     # a missing key is listed as unreadable, not range-checked as a stand-in
     pytest.param(
         [(("eta_inv",), _DROP)], ["eta_inv: must be a finite number"], id="missing-eta-inv"
@@ -204,6 +214,20 @@ def test_malformed_field_is_listed(edits, prefixes):
     assert len(problems) == len(prefixes), problems
     for prefix in prefixes:
         assert sum(p.startswith(prefix) for p in problems) == 1, problems
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        [(("tariff", "p0"), MAX_MAGNITUDE)],
+        [(("eta_inv",), MIN_EFFICIENCY), (("eta_bar",), MIN_EFFICIENCY)],
+        [(H1 + ("demand",), [MAX_MAGNITUDE, 0.0]), (H1 + ("re_output",), [0.0, MAX_MAGNITUDE])],
+        [(("tariff", "generation"), [MAX_MAGNITUDE] * 2)],
+    ],
+    ids=["p0", "efficiencies", "household-series", "generation"],
+)
+def test_values_at_the_range_bounds_are_accepted(edits):
+    scenario_from_dict(_edited(*edits))
 
 
 @pytest.mark.parametrize("hid, text", [("h1", "h1"), (7, "7"), (2.5, "2.5")])
