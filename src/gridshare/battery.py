@@ -16,15 +16,16 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleActionError, InvalidBatteryParamsError
 
-#: tolerance applied when checking a state-of-charge against its bounds
-SOC_TOL = 1e-9
-
 # A valid scenario's energies, rates and base price are at most MAX_MAGNITUDE
 # and its efficiencies at least MIN_EFFICIENCY.  A load is then at most about
 # 25 * 1e30 (net demand plus rho_plus * dt, dt <= 24 h), so a stage cost is at
 # most about 1.7e94 * M**2, and a DP value or a bill adds at most T of those.
 MAX_MAGNITUDE = 1e30
 MIN_EFFICIENCY = 1e-6
+
+#: slack of every replay check and of the engine's floor pricing, so the
+#: two judge a final SOC alike
+FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def residential_battery() -> BatteryParams:
 
 
 def _check_soc(s: float, bat: BatteryParams):
-    if not (bat.s_min - SOC_TOL <= s <= bat.s_max + SOC_TOL):
+    if not (bat.s_min - FEAS_TOL <= s <= bat.s_max + FEAS_TOL):
         raise InfeasibleActionError(
             "SOC %g outside [%g, %g]" % (s, bat.s_min, bat.s_max)
         )
@@ -164,9 +165,9 @@ def soc_next_giver(
     charging ``a`` pays both efficiencies.  If nothing is charged at all
     the battery self-discharges.
     """
-    if a < -SOC_TOL:
+    if a < -FEAS_TOL:
         raise InfeasibleActionError("giver grid charge must be >= 0, got %g" % a)
-    if local_charge < -SOC_TOL:
+    if local_charge < -FEAS_TOL:
         raise InfeasibleActionError(
             "local charge must be >= 0, got %g" % local_charge
         )

@@ -10,14 +10,13 @@ is fixed (see ``scenario.synth_scenario``).
 
 Exit codes: 0 success / converged, 2 non-converged (report still written,
 or certification failed), 1 input or usage error, or an output that
-cannot be written.
+cannot be written.  The group prints any GridShareError as one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import sys
 
 import click
@@ -29,28 +28,31 @@ from .scenario import load_scenario, save_scenario, synth_scenario
 
 
 @contextlib.contextmanager
-def _usage_error_exits_1():
+def _input_errors_exit_1():
     try:
         yield
     except click.UsageError as exc:
         exc.exit_code = 1
         raise
+    except GridShareError as exc:
+        click.echo("error: %s" % exc, err=True)
+        sys.exit(1)
 
 
 class _Group(click.Group):
-    """Exits 1 on a usage error, like on any input error.
+    """Exits 1 on a usage error or a GridShareError, like on any input error.
 
-    Click's own code for one, 2, means a non-converged solve or a failed
-    certificate here.  The group's own arguments are parsed in
-    ``make_context``, a command's in ``invoke``.
+    Click's own code for a usage error, 2, means a non-converged solve or a
+    failed certificate here.  The group's own arguments are parsed in
+    ``make_context``, a command's in ``invoke``, which also runs it.
     """
 
     def make_context(self, *args, **kwargs):
-        with _usage_error_exits_1():
+        with _input_errors_exit_1():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _usage_error_exits_1():
+        with _input_errors_exit_1():
             return super().invoke(ctx)
 
 
@@ -63,11 +65,9 @@ def _load(path):
     try:
         return load_scenario(path)
     except FileNotFoundError:
-        click.echo("error: scenario file not found: %s" % path, err=True)
-        sys.exit(1)
+        raise GridShareError("scenario file not found: %s" % path) from None
     except OSError as exc:
-        click.echo("error: cannot read scenario file: %s" % exc, err=True)
-        sys.exit(1)
+        raise GridShareError("cannot read scenario file: %s" % exc) from None
     except ScenarioValidationError as exc:
         click.echo("scenario invalid:", err=True)
         for problem in exc.problems:
@@ -82,16 +82,11 @@ def _load(path):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def synth(households, intervals, seed, out):
     """Generate a reproducible synthetic scenario file."""
-    try:
-        scenario = synth_scenario(households, intervals, seed)
-    except GridShareError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(1)
+    scenario = synth_scenario(households, intervals, seed)
     try:
         save_scenario(scenario, out)
     except OSError as exc:
-        click.echo("error: cannot write scenario file: %s" % exc, err=True)
-        sys.exit(1)
+        raise GridShareError("cannot write scenario file: %s" % exc) from None
     click.echo("wrote %s (M=%d, T=%d, seed=%d)" % (out, households, intervals, seed))
 
 
@@ -125,16 +120,11 @@ def _config_options(fn):
 def solve(scenario_path, out, baseline_only, **knobs):
     """Solve baseline and game, emit result.json / traces.csv / summary.txt."""
     scenario = _load(scenario_path)
-    try:
-        report = run(scenario, GameConfig(**knobs), baseline_only=baseline_only)
-    except GridShareError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(1)
+    report = run(scenario, GameConfig(**knobs), baseline_only=baseline_only)
     try:
         paths = emit(report, out)
     except OSError as exc:
-        click.echo("error: cannot write report: %s" % exc, err=True)
-        sys.exit(1)
+        raise GridShareError("cannot write report: %s" % exc) from None
     click.echo(paths["summary"].read_text(encoding="utf-8").rstrip())
     if report.equilibrium is not None and not report.equilibrium.converged:
         sys.exit(2)
@@ -146,26 +136,12 @@ def solve(scenario_path, out, baseline_only, **knobs):
 def certify(scenario_path, result_path):
     """Rerun the solver's check search on an emitted result."""
     scenario = _load(scenario_path)
-    try:
-        with open(result_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, an overlong int
-        click.echo("error: cannot read result document: %s" % exc, err=True)
-        sys.exit(1)
-    try:
-        config, schedules = read_result(doc, scenario)
-    except GridShareError as exc:
-        click.echo("error: invalid result document: %s" % exc, err=True)
-        sys.exit(1)
+    config, schedules = read_result(result_path, scenario)
     eps = config.epsilon
-    try:
-        gains = [
-            deviation_gain(scenario, schedules, m, config)
-            for m in range(scenario.n_households)
-        ]
-    except GridShareError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(1)
+    gains = [
+        deviation_gain(scenario, schedules, m, config)
+        for m in range(scenario.n_households)
+    ]
     ok = True
     for h, gain in zip(scenario.households, gains):
         status = "PASS" if gain <= eps else "FAIL"

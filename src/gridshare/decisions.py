@@ -7,8 +7,8 @@ battery and how much to draw from the community pool; givers decide how
 much excess to offer to the pool, with the unshared remainder charged into
 their battery locally.  This module provides the feasible regions for
 both roles and an independent re-checker that replays a full community
-state (roles, grid loads, SOC paths, the pool after line losses) and
-validates every invariant; it shares no code with the search in ``engine``.
+state (roles, loads, SOC paths and the terminal floor, the pool after line
+losses) and validates every invariant; it shares no code with ``engine``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery import (
+    FEAS_TOL,
     BatteryParams,
     phi_minus,
     phi_plus,
@@ -26,9 +27,6 @@ from .battery import (
     soc_next_taker,
 )
 from .errors import InfeasibleDecisionError, LengthMismatchError
-
-#: slack for feasibility re-checks on replayed schedules
-FEAS_TOL = 1e-9
 
 
 def net_demand(d_bar, w, eta_inv: float):
@@ -271,8 +269,10 @@ def audit_community(
     eta_inv: float,
     eta_bar: float,
     dt: float,
+    terminal_min: float | None = None,
 ) -> CommunityTrace:
-    """Replay every household and verify the aggregate pool balance.
+    """Replay every household, verify the aggregate pool balance, and list
+    every household whose final SOC ends below ``terminal_min``, if given.
 
     This is the independent feasibility re-checker used by the solver's
     property tests: it shares no state with the search machinery.
@@ -300,6 +300,16 @@ def audit_community(
                 "pool overdrawn at t=%d: draws %g > %g available" % (t, drawn, built)
             )
         leftover[t] = max(0.0, built - drawn)
+    floor = -math.inf if terminal_min is None else terminal_min - FEAS_TOL
+    short = [
+        "%s ends at %.6g kWh" % (p.id, final)
+        for p, final in zip(profiles, soc[:, -1])
+        if final < floor
+    ]
+    if short:
+        raise InfeasibleDecisionError(
+            "terminal_soc_min %g missed: %s" % (terminal_min, ", ".join(short))
+        )
     aggregated = np.array([math.fsum(loads[:, t]) for t in range(horizon)])
     return CommunityTrace(
         loads=loads, soc=soc, aggregated=aggregated, pool_leftover=leftover

@@ -45,12 +45,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import billing
+from .battery import FEAS_TOL
 from .decisions import Schedule, audit_community
 from .errors import GridShareError, InfeasibleConfigError
 from .scenario import Scenario, _brief, finite_number
 
-#: slack below terminal_soc_min that a final SOC may end at, here and in certify
-TERMINAL_TOL = 1e-9
 _REFINE_ROUNDS = 26  # local-grid rounds after the uniform round 0
 _EXACT_CAP = 20000  # max candidate-tree leaves for exhaustive mode
 _MAX_BLOCK = 10**7  # max cells of one (state, P, Q) stage block
@@ -379,7 +378,7 @@ def _soc_trajectory(env: _Env, a: np.ndarray, e: np.ndarray) -> np.ndarray:
 def _terminal_values(env: _Env, grid: np.ndarray) -> np.ndarray:
     v = np.zeros(len(grid))
     if env.terminal_min is not None:
-        v[grid < env.terminal_min - TERMINAL_TOL] = np.inf
+        v[grid < env.terminal_min - FEAS_TOL] = np.inf
     return v
 
 
@@ -712,6 +711,7 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
         scenario.eta_inv,
         scenario.eta_bar,
         scenario.dt,
+        config.terminal_soc_min,
     )
     bills = billing.community_bills(trace.loads, scenario.tariff)
     return EquilibriumResult(

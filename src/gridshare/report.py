@@ -2,7 +2,8 @@
 
 ``run`` solves the no-battery/no-sharing baseline and (unless asked not
 to) the game, and packages both into a RunReport.  ``emit`` writes three
-artifacts into a directory:
+artifacts into a directory, and ``read_result`` reads and judges the first
+of them:
 
 * ``result.json`` -- the structured result document (schedules, bills,
   convergence, metrics); byte-identical across repeated runs.
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import billing
 from .decisions import Schedule, audit_community
-from .engine import TERMINAL_TOL, EquilibriumResult, GameConfig, solve
+from .engine import EquilibriumResult, GameConfig, solve
 from .errors import GridShareError
 from .scenario import Scenario, number_series
 
@@ -173,12 +174,25 @@ def _config_from_doc(cfg) -> GameConfig:
         raise GridShareError("config.%s" % exc) from None
 
 
-def read_result(doc, scenario: Scenario):
-    """(config, schedules) of a parsed result document for ``scenario``.
+def read_result(path, scenario: Scenario):
+    """(config, schedules) of the result.json at ``path`` for ``scenario``.
 
-    Raises GridShareError naming the first malformed part, or every
-    household whose replayed schedule ends below ``terminal_soc_min``.
+    Raises GridShareError: "cannot read result document" for a file that
+    does not parse, else "invalid result document" naming the first
+    malformed part or the replay's first objection to its schedules.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, an overlong int
+        raise GridShareError("cannot read result document: %s" % exc) from None
+    try:
+        return _parse_result(doc, scenario)
+    except GridShareError as exc:
+        raise GridShareError("invalid result document: %s" % exc) from None
+
+
+def _parse_result(doc, scenario: Scenario):
     if not isinstance(doc, dict) or not isinstance(doc.get("game"), dict):
         raise GridShareError("no game section")
     version = doc.get("schema_version")
@@ -207,20 +221,14 @@ def read_result(doc, scenario: Scenario):
         schedules.append(Schedule(*series))
     # a schedule outside its feasible region can show a bill no feasible
     # deviation beats, so replay it before measuring any gain
-    trace = audit_community(
-        scenario.households, schedules, scenario.eta_inv, scenario.eta_bar, scenario.dt
+    audit_community(
+        scenario.households,
+        schedules,
+        scenario.eta_inv,
+        scenario.eta_bar,
+        scenario.dt,
+        config.terminal_soc_min,
     )
-    floor = config.terminal_soc_min
-    if floor is not None:
-        short = [
-            "%s ends at %.6g kWh" % (h.id, soc[-1])
-            for h, soc in zip(scenario.households, trace.soc)
-            if soc[-1] < floor - TERMINAL_TOL
-        ]
-        if short:
-            raise GridShareError(
-                "terminal_soc_min %g missed: %s" % (floor, ", ".join(short))
-            )
     return config, schedules
 
 

@@ -247,7 +247,7 @@ def _household_from_dict(hdata, i: int, problems: list):
     if _mapping(hdata, "households[%d]" % i, problems) is None:
         return None
     hid = hdata.get("id", i)
-    if not isinstance(hid, (str, int, float)):
+    if isinstance(hid, bool) or not isinstance(hid, (str, int, float)):
         problems.append(
             "households[%d].id: must be a string or a number, got %s" % (i, _brief(hid))
         )

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -451,51 +452,140 @@ def test_certify_checks_the_intact_baseline_document(runner, baseline_result):
     assert "FAIL" in result.output
 
 
+def _set_h1(**series):
+    """A corruption that replaces series of h1's schedule (the day has 12 intervals)."""
+
+    def corrupt(doc):
+        doc["game"]["households"]["h1"].update(series)
+
+    return corrupt
+
+
+BAD = "error: invalid result document: "
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, line",
     [
-        pytest.param(lambda doc: doc["config"].update(bogus=1), id="unknown-config-key"),
-        pytest.param(lambda doc: doc["config"].update(epsilon=0), id="zero-epsilon"),
-        pytest.param(lambda doc: doc["config"].update(exact_cap=20000), id="v1-config-key"),
-        pytest.param(lambda doc: doc["config"].update(cold_start=False), id="v2-cold-start-key"),
-        pytest.param(lambda doc: doc["config"].update(soc_grid=10**13), id="absurd-soc-grid"),
+        pytest.param(
+            lambda doc: doc["config"].update(bogus=1),
+            BAD + "unknown config key 'bogus'",
+            id="unknown-config-key",
+        ),
+        pytest.param(
+            lambda doc: doc["config"].update(epsilon=0),
+            BAD + "config.epsilon must be finite and > 0",
+            id="zero-epsilon",
+        ),
+        pytest.param(
+            lambda doc: doc["config"].update(exact_cap=20000),
+            BAD + "unknown config key 'exact_cap'",
+            id="v1-config-key",
+        ),
+        pytest.param(
+            lambda doc: doc["config"].update(cold_start=False),
+            BAD + "unknown config key 'cold_start'",
+            id="v2-cold-start-key",
+        ),
+        pytest.param(
+            lambda doc: doc["config"].update(soc_grid=10**13),
+            BAD + "config.soc_grid 10000000000000 with action_grid 9 needs stage "
+            "blocks of more than 10000000 cells",
+            id="absurd-soc-grid",
+        ),
         pytest.param(
             lambda doc: doc["config"].update(soc_grid=400000, action_grid=3),
+            "error: check grids: soc_grid 800000 with action_grid 6 needs stage "
+            "blocks of more than 10000000 cells",
             id="check-grids-too-large",
         ),
         pytest.param(
-            lambda doc: doc["config"].pop("terminal_soc_min"), id="missing-config-key"
+            lambda doc: doc["config"].pop("terminal_soc_min"),
+            BAD + "config is missing terminal_soc_min",
+            id="missing-config-key",
         ),
-        pytest.param(lambda doc: doc.update(schema_version=99), id="wrong-schema-version"),
-        pytest.param(lambda doc: doc.pop("schema_version"), id="missing-schema-version"),
-        pytest.param(lambda doc: doc.update(schema_version=True), id="bool-schema-version"),
-        pytest.param(lambda doc: doc["game"]["households"].pop("h1"), id="missing-household"),
         pytest.param(
-            lambda doc: doc["game"]["households"]["h1"].update(
-                a=[-100.0] * len(doc["game"]["households"]["h1"]["a"])
-            ),
+            lambda doc: doc.update(schema_version=99),
+            BAD + "schema_version: expected 3, got 99",
+            id="wrong-schema-version",
+        ),
+        pytest.param(
+            lambda doc: doc.pop("schema_version"),
+            BAD + "schema_version: expected 3, got None",
+            id="missing-schema-version",
+        ),
+        pytest.param(
+            lambda doc: doc.update(schema_version=True),
+            BAD + "schema_version: expected 3, got True",
+            id="bool-schema-version",
+        ),
+        pytest.param(lambda doc: doc.update(game=None), BAD + "no game section", id="null-game"),
+        pytest.param(
+            lambda doc: doc.update(config=5),
+            BAD + "config must be a mapping",
+            id="config-not-mapping",
+        ),
+        pytest.param(
+            lambda doc: doc["game"]["households"].pop("h1"),
+            BAD + "game.households.h1 is missing",
+            id="missing-household",
+        ),
+        pytest.param(
+            _set_h1(a=[0.0]),
+            BAD + "game.households.h1: a and e need 12 finite numbers each",
+            id="short-a",
+        ),
+        pytest.param(
+            _set_h1(e=[0.0] * 11 + [math.nan]),
+            BAD + "game.households.h1: a and e need 12 finite numbers each",
+            id="nan-e",
+        ),
+        pytest.param(
+            _set_h1(a=[-100.0] * 12),
+            BAD + "giver decision outside its feasible region "
+            "(t=0, a=-100, e=0, d=-1.26223, soc=7.15156)",
             id="infeasible-schedule",
         ),
         pytest.param(
-            lambda doc: doc["config"].update(terminal_soc_min=13.0), id="missed-floor"
+            lambda doc: doc["config"].update(terminal_soc_min=13.0),
+            BAD + "terminal_soc_min 13 missed: h1 ends at 11.5187 kWh, h2 ends at 8.47735 kWh",
+            id="missed-floor",
         ),
         # 401-digit ints, beyond any float
-        pytest.param(lambda doc: doc["config"].update(epsilon=10**400), id="huge-epsilon"),
         pytest.param(
-            lambda doc: doc["config"].update(terminal_soc_min=10**400), id="huge-floor"
+            lambda doc: doc["config"].update(epsilon=10**400),
+            BAD + "config.epsilon must be finite and > 0",
+            id="huge-epsilon",
+        ),
+        pytest.param(
+            lambda doc: doc["config"].update(terminal_soc_min=10**400),
+            BAD + "config.terminal_soc_min must be None or finite",
+            id="huge-floor",
         ),
         # values of the wrong type
-        pytest.param(lambda doc: doc["config"].update(soc_grid=24.0), id="float-soc-grid"),
-        pytest.param(lambda doc: doc["config"].update(seed=True), id="bool-seed"),
-        pytest.param(lambda doc: doc["config"].update(epsilon=None), id="null-epsilon"),
+        pytest.param(
+            lambda doc: doc["config"].update(soc_grid=24.0),
+            BAD + "config.soc_grid must be an int, got 24.0",
+            id="float-soc-grid",
+        ),
+        pytest.param(
+            lambda doc: doc["config"].update(seed=True),
+            BAD + "config.seed must be an int, got True",
+            id="bool-seed",
+        ),
+        pytest.param(
+            lambda doc: doc["config"].update(epsilon=None),
+            BAD + "config.epsilon must be finite and > 0",
+            id="null-epsilon",
+        ),
     ],
 )
-def test_certify_rejects_bad_result_document(runner, baseline_result, corrupt):
+def test_certify_rejects_bad_result_document(runner, baseline_result, corrupt, line):
     scen, doc, path = baseline_result
     corrupt(doc)
     result = _certify(runner, scen, doc, path)
     assert result.exit_code == 1, result.output
-    assert "error:" in result.output
+    assert result.output == line + "\n"
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 

@@ -12,7 +12,8 @@ from gridshare import (
     phi_plus,
     taker_bounds,
 )
-from gridshare.errors import InfeasibleDecisionError
+from gridshare.battery import FEAS_TOL
+from gridshare.errors import InfeasibleDecisionError, LengthMismatchError
 
 from conftest import make_scenario, random_scenario, sample_schedules, simple_battery
 
@@ -222,6 +223,26 @@ class TestRegionProperties:
 
 
 class TestCommunityReplay:
+    def test_schedule_series_must_match(self):
+        with pytest.raises(LengthMismatchError):
+            Schedule([0.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "above, missed", [(0.0, False), (0.5 * FEAS_TOL, False), (2 * FEAS_TOL, True)]
+    )
+    def test_terminal_floor_judged_with_the_slack(self, above, missed):
+        scenario = make_scenario(
+            demands=[[1.0, 1.0]], re_outputs=[[0.0, 0.0]], generation=[1.0, 1.0]
+        )
+        schedules = [Schedule([0.0, 0.0], [0.0, 0.0])]
+        floor = _audit(scenario, schedules).soc[0, -1] + above
+        args = (scenario.households, schedules, 0.95, 0.9, scenario.dt, floor)
+        if missed:
+            with pytest.raises(InfeasibleDecisionError, match="missed: h1 ends at"):
+                audit_community(*args)
+        else:
+            audit_community(*args)
+
     def test_random_feasible_schedules_pass_audit(self, rng):
         for _ in range(40):
             scenario = random_scenario(rng)

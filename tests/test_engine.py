@@ -371,13 +371,30 @@ class TestInitialState:
                 dict(soc_grid=24, action_grid=5, terminal_soc_min=6.0),
                 "d2e27bad6b00f5c49c37476b87802c07796f6132aa3cafd7e58c65f2bc2dd629",
             ),
+            # a giver's sample strands the floor here, so it offers the least
+            # and charges as hard as its region allows
+            (
+                (3, 8, 2),
+                dict(soc_grid=24, action_grid=5, terminal_soc_min=12.0, seed=1),
+                "e091a64045cec9b488536e7c24649386b11e8e16a0911c754b000da40c8ec1d9",
+            ),
         ],
-        ids=["flagship", "2x6-seed5-terminal"],
+        ids=["flagship", "2x6-seed5-terminal", "3x8-seed2-giver-floor"],
     )
     def test_start_is_pinned(self, shape, overrides, digest):
         M, T, seed = shape
-        A, E = initial_state(synth_scenario(M, T, seed=seed), GameConfig(**overrides))
+        scenario, config = synth_scenario(M, T, seed=seed), GameConfig(**overrides)
+        A, E = initial_state(scenario, config)
         assert hashlib.sha256(A.tobytes() + E.tobytes()).hexdigest() == digest
+        # the start meets its floor as the replay judges it
+        audit_community(
+            scenario.households,
+            [Schedule(a, e) for a, e in zip(A, E)],
+            scenario.eta_inv,
+            scenario.eta_bar,
+            scenario.dt,
+            config.terminal_soc_min,
+        )
 
 
 class TestSolve:

@@ -90,15 +90,14 @@ class TestResultDocument:
         assert "wall_time" not in text
 
     @pytest.mark.parametrize("day", ["small", "floor"])
-    def test_document_reads_back_exactly(self, small_report, day):
+    def test_document_reads_back_exactly(self, small_report, day, tmp_path):
         if day == "small":
             scenario, report = small_report
         else:
             scenario = synth_scenario(2, 6, seed=5)
             floored = GameConfig(soc_grid=24, action_grid=5, terminal_soc_min=6.0)
             report = run(scenario, floored)
-        doc = json.loads(json.dumps(result_document(report), sort_keys=True, indent=2))
-        config, schedules = read_result(doc, scenario)
+        config, schedules = read_result(emit(report, tmp_path)["result"], scenario)
         assert config == report.config
         for got, want in zip(schedules, report.equilibrium.schedules, strict=True):
             assert got.a.tobytes() == want.a.tobytes()
@@ -116,9 +115,7 @@ class TestEmission:
             terminal_soc_min=np.float32(6.0),
         )
         report = run(scenario, config)
-        paths = emit(report, tmp_path)
-        doc = json.loads(paths["result"].read_text(encoding="utf-8"))
-        read, schedules = read_result(doc, scenario)
+        read, schedules = read_result(emit(report, tmp_path)["result"], scenario)
         assert read == config
         for got, want in zip(schedules, report.equilibrium.schedules, strict=True):
             assert got.a.tobytes() == want.a.tobytes()

@@ -173,6 +173,10 @@ MALFORMED = [
     _one(H1 + ("id",), None, "households[0].id", "null-id"),
     _one(H1 + ("id",), [1, 2], "households[0].id", "list-id"),
     _one(H1 + ("id",), {"a": 1}, "households[0].id", "mapping-id"),
+    # YAML reads an unquoted no, yes, on or off as a bool
+    _one(H1 + ("id",), False, "households[0].id", "bool-id"),
+    _one(("households",), minimal_doc()["households"] * 2, "households[h1]", "duplicate-id"),
+    _one(H1 + ("demand",), [[1, 2], [3]], "households[h1].demand", "ragged-demand"),
     # the numeric range: each bound is listed once, under its field
     _one(("tariff", "p0"), 2e30, "tariff.p0", "p0-above-range"),
     _one(("eta_inv",), 1e-7, "eta_inv", "eta-inv-below-range"),
