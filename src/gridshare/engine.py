@@ -15,11 +15,13 @@ moves the load but not the SOC, so a taker's SOC step and value lookup
 run once per (state, action); where the pool is empty every draw equals
 its floor, so the draw axis is that one column.  The backward pass and the
 rollout both read that block, and the rollout breaks ties only among the
-pairs at the least cost.  For tiny instances the search is exhaustive: the
-same DP runs on the exact SOCs the candidate tree reaches at each interval,
-so every lookup lands on a cell and the bill equals a brute-force oracle's
-exactly.  Equal bills are split by the rollout's rule (cost, then
-|a|, |e|, SOC), not by the oracle's enumeration order.
+pairs at the least cost.  For tiny instances the search is exhaustive: its
+one round runs the same DP on the exact SOCs the candidate tree reaches at
+each interval, so every lookup lands on a cell and the bill equals a
+brute-force oracle's exactly.  Equal bills are split by the rollout's rule
+(cost, then |a|, |e|, SOC), not by the oracle's enumeration order.  The
+floor's one enforcer is the response's inf price for an incumbent ending
+below ``terminal_soc_min``; it also repairs a start that misses the floor.
 
 The outer loop repeats one Gauss-Seidel pass: households respond in fixed
 id order, each seeing the freshest schedules of the others, and a response
@@ -468,20 +470,21 @@ def _uniform_grid(env: _Env, n: int) -> np.ndarray:
 
 
 def _local_grids(env: _Env, soc_traj: np.ndarray, n: int, sigma: float):
+    """A refinement round's SOC grids around ``soc_traj``; entry 0 is None.
+
+    Grid t holds ``n`` points within ``sigma`` of ``soc_traj[t]``, clipped,
+    plus uniform anchors and the center.  One ``np.linspace`` call lays out
+    every interval's points, each row as the scalar call would.
+    """
     # locality buys more precision than raw grid size, so cap the count
     n = min(n, _LOCAL_POINTS)
     anchors = _uniform_grid(env, min(n, _ANCHORS))
-    grids = [None] * (env.horizon + 1)
-    for t in range(1, env.horizon + 1):
-        center = soc_traj[t]
-        local = np.clip(
-            np.linspace(center - sigma, center + sigma, n),
-            env.s_min,
-            env.s_max,
-        )
-        grids[t] = np.unique(np.concatenate([local, anchors, [center]]))
-    grids[0] = np.array([env.s0])
-    return grids
+    centers = soc_traj[1:]
+    local = np.linspace(centers - sigma, centers + sigma, n, axis=1)
+    np.clip(local, env.s_min, env.s_max, out=local)
+    return [None] + [
+        np.unique(np.concatenate([row, anchors, [c]])) for row, c in zip(local, centers)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +494,13 @@ def _local_grids(env: _Env, soc_traj: np.ndarray, n: int, sigma: float):
 def _respond(scenario, A, E, m, config):
     """Household ``m``'s best response on ``config``'s grids: (a, e, gain >= 0).
 
-    When the candidate tree fits ``_EXACT_CAP``, one DP on the reachable SOC
-    sets, which is exhaustive; else DP rounds on grids that shrink around
-    the best schedule so far.  Only a lower bill replaces the incumbent.  An
-    incumbent that ends below ``terminal_soc_min`` is priced at inf, so any
-    response that meets the floor replaces it and the gain is inf.
+    DP rounds, each with the best schedule so far as extra candidates: when
+    the candidate tree fits ``_EXACT_CAP``, one round on the reachable SOC
+    sets, which is exhaustive; else a uniform round 0, then rounds on grids
+    that shrink around the best schedule.  Only a lower bill replaces the
+    incumbent.  An incumbent that ends below ``terminal_soc_min`` is priced
+    at inf, so any response that meets the floor replaces it and the gain
+    is inf; that is how a start that misses the floor is repaired.
     """
     env = _Env(scenario, A, E, m, config.terminal_soc_min)
     n_act = config.action_grid
@@ -503,35 +508,30 @@ def _respond(scenario, A, E, m, config):
     best_soc = _soc_trajectory(env, best_a, best_e)
     floor_cost = _terminal_values(env, best_soc[-1:])[0]
     old_bill = best_bill = _bill_of(env, best_a, best_e) + float(floor_cost)
-    if _exhaustive(env.taker, n_act, _EXACT_CAP):
-        none = np.zeros((env.horizon, 0))
-        a, e, _ = _dp(env, _reachable_grids(env, n_act), n_act, none, none)
+    exact = _exhaustive(env.taker, n_act, _EXACT_CAP)
+    span = env.s_max - env.s_min
+    stale = 0
+    for k in range(1 if exact else _REFINE_ROUNDS + 1):
+        if exact:
+            grids, offsets = _reachable_grids(env, n_act), np.zeros(0)
+        elif k == 0:
+            grids = [_uniform_grid(env, config.soc_grid)] * (env.horizon + 1)
+            offsets = np.zeros(1)
+        else:
+            sigma = span * 0.5**k
+            grids = _local_grids(env, best_soc, config.soc_grid, sigma)
+            offsets = sigma * np.linspace(-1.0, 1.0, _OFFSETS)
+        extras = best_a[:, None] + offsets, best_e[:, None] + offsets
+        a, e, soc = _dp(env, grids, n_act, *extras)
         bill = _bill_of(env, a, e)
-        if bill < best_bill:
-            best_a, best_e, best_bill = a, e, bill
-    else:
-        span = env.s_max - env.s_min
-        stale = 0
-        for k in range(_REFINE_ROUNDS + 1):
-            if k == 0:
-                grids = [_uniform_grid(env, config.soc_grid)] * (env.horizon + 1)
-                offsets = np.zeros(1)
-            else:
-                sigma = span * 0.5**k
-                grids = _local_grids(env, best_soc, config.soc_grid, sigma)
-                offsets = sigma * np.linspace(-1.0, 1.0, _OFFSETS)
-            extras_a = best_a[:, None] + offsets
-            extras_e = best_e[:, None] + offsets
-            a, e, soc = _dp(env, grids, n_act, extras_a, extras_e)
-            bill = _bill_of(env, a, e)
-            if bill < best_bill - 1e-15:
-                gain = best_bill - bill
-                best_a, best_e, best_soc, best_bill = a, e, soc, bill
-                stale = 0 if gain > config.epsilon * 1e-3 else stale + 1
-            else:
-                stale += 1
-            if k >= 6 and stale >= 3:
-                break
+        if bill < best_bill - 1e-15:
+            gain = best_bill - bill
+            best_a, best_e, best_soc, best_bill = a, e, soc, bill
+            stale = 0 if gain > config.epsilon * 1e-3 else stale + 1
+        else:
+            stale += 1
+        if k >= 6 and stale >= 3:
+            break
     assert best_bill <= old_bill + 1e-12, "best response worsened a bill"
     return best_a, best_e, max(0.0, old_bill - best_bill)
 
@@ -622,10 +622,10 @@ def initial_state(scenario: Scenario, config: GameConfig):
     """Seeded feasible starting schedules.
 
     Samples each decision uniformly inside its feasibility region, walking
-    households in id order, each taker drawing on its view's pool.  Under
-    ``terminal_soc_min`` a decision whose SOC would fall below the floor
-    path charges as hard as its region allows, so a reachable floor is met
-    and no response compares against a start that misses it.
+    households in id order, each taker drawing on its view's pool.  A
+    household whose sampled day ends below ``terminal_soc_min`` starts from
+    its best response instead, which meets a reachable floor, so no later
+    response compares against a start that misses it.
     """
     rng = np.random.default_rng(config.seed)
     n, horizon = scenario.n_households, scenario.horizon
@@ -641,19 +641,13 @@ def initial_state(scenario: Scenario, config: GameConfig):
                 a = rng.uniform(*_taker_action_range(env, s, d, phi_p))
                 e = rng.uniform(_taker_draw_floor(d, a, env.pool_avail[t]), 0.0)
             else:
-                e_lo, e_hi = _giver_offer_range(env, s, d, phi_p, 0.0)
-                e = rng.uniform(e_lo, e_hi)
+                e = rng.uniform(*_giver_offer_range(env, s, d, phi_p, 0.0))
                 a = rng.uniform(0.0, _giver_charge_cap(env, s, d, phi_p, e))
-            low = env.floor_path[t + 1]
-            if low is not None and _transition(env, t, s, a, e) < low:
-                # the sample strands the floor: charge as hard as the region allows
-                if env.taker[t]:
-                    a, e = float(_taker_action_range(env, s, d, phi_p)[1]), 0.0
-                else:
-                    e, a = e_lo, float(_giver_charge_cap(env, s, d, phi_p, e_lo))
             A[m, t] = a
             E[m, t] = e
             s = float(_transition(env, t, s, a, e))
+        if np.isinf(_terminal_values(env, np.array([s]))[0]):  # misses the floor
+            A[m], E[m], _ = _respond(scenario, A, E, m, config)
     return A, E
 
 

@@ -371,12 +371,12 @@ class TestInitialState:
                 dict(soc_grid=24, action_grid=5, terminal_soc_min=6.0),
                 "d2e27bad6b00f5c49c37476b87802c07796f6132aa3cafd7e58c65f2bc2dd629",
             ),
-            # a giver's sample strands the floor here, so it offers the least
-            # and charges as hard as its region allows
+            # h1's and h2's sampled days end below the floor here, so each
+            # starts from its best response
             (
                 (3, 8, 2),
                 dict(soc_grid=24, action_grid=5, terminal_soc_min=12.0, seed=1),
-                "e091a64045cec9b488536e7c24649386b11e8e16a0911c754b000da40c8ec1d9",
+                "bc4cd11158fe7d782bf240cbfcb756140f0d7dd916668089885d0589485b6638",
             ),
         ],
         ids=["flagship", "2x6-seed5-terminal", "3x8-seed2-giver-floor"],
@@ -505,7 +505,7 @@ class TestSolve:
         # reach, with no cell of the round-0 grid between the two:
         # interpolating between the inf cell below and the cell above reads
         # inf, so only the floor path's nodes keep the feasible SOCs finite.
-        # The random start misses the floor unless it, too, follows the path.
+        # The random start misses the floor; the best response repairs it.
         scenario, env = slow_charger(None)
         top = env.s0
         for t in range(env.horizon):
@@ -516,6 +516,35 @@ class TestSolve:
         config = GameConfig(soc_grid=24, action_grid=5, terminal_soc_min=floor)
         result = solve(scenario, config)
         assert floor <= result.soc[0, -1] <= top
+
+    def test_leak_band_start_meets_the_floor(self):
+        # a 13.49 kWh floor just below s_max, where a full battery leaks
+        # below it: the sampled day ends at 13.36 kWh before its last
+        # interval, from which the CV phase charges to 13.486 kWh at most,
+        # so only a response that plans the whole day meets the floor
+        day = synth_scenario(1, 3, seed=0)
+        h = day.households[0]
+        bat = dataclasses.replace(h.battery, rho_bar=-0.05)
+        day = dataclasses.replace(
+            day, households=[dataclasses.replace(h, battery=bat)]
+        )
+        floor = 13.49
+        assert bat.s_max * (1.0 + bat.rho_bar) ** day.dt < floor < bat.s_max
+        config = GameConfig(soc_grid=24, action_grid=5, terminal_soc_min=floor)
+        A, E = initial_state(day, dataclasses.replace(config, terminal_soc_min=None))
+        assert _soc_trajectory(_Env(day, A, E, 0, None), A[0], E[0])[-1] < floor
+        A, E = initial_state(day, config)
+        audit_community(
+            day.households,
+            schedules_from_state(A, E),
+            day.eta_inv,
+            day.eta_bar,
+            day.dt,
+            floor,
+        )
+        result = solve(day, config)
+        assert result.converged
+        assert all(math.isfinite(x["max_bill_drop"]) for x in result.convergence_log)
 
 
 def slow_charger(terminal_min, T=4):
@@ -822,6 +851,73 @@ class TestValueLookup:
             a, e, _ = _dp(env, grids, 5, none, none)
             assert _soc_trajectory(env, a, e)[-1] >= 6.0 - 1e-9
         assert sum(inf_between_cells) > 0
+
+
+def scalar_local_grids(env, soc_traj, n, sigma):
+    """Reference for :func:`_local_grids`: one scalar linspace per interval."""
+    n = min(n, engine._LOCAL_POINTS)
+    anchors = _uniform_grid(env, min(n, engine._ANCHORS))
+    grids = [None]
+    for center in soc_traj[1:]:
+        local = np.linspace(center - sigma, center + sigma, n)
+        local = np.clip(local, env.s_min, env.s_max)
+        grids.append(np.unique(np.concatenate([local, anchors, [center]])))
+    return grids
+
+
+def lone_env(bat, T):
+    """The best-response env of a lone taker with battery ``bat``."""
+    scenario = make_scenario(
+        demands=[[0.9] * T],
+        re_outputs=[[0.0] * T],
+        generation=[0.5] * T,
+        batteries=[bat],
+        initial_socs=[bat.s_min],
+    )
+    zeros = np.zeros((1, T))
+    return _Env(scenario, zeros, zeros, 0, None)
+
+
+class TestLocalGrids:
+    def test_rows_match_scalar_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        cases = []
+        for _ in range(60):
+            T = int(rng.integers(1, 30))
+            env = lone_env(simple_battery(), T)
+            traj = rng.uniform(env.s_min, env.s_max, T + 1)
+            traj[rng.random(T + 1) < 0.2] = env.s_min
+            traj[rng.random(T + 1) < 0.2] = env.s_max
+            span = env.s_max - env.s_min
+            sigma = span * rng.uniform(0.5, 1.0) * 0.5 ** int(rng.integers(0, 27))
+            cases.append((env, traj, int(rng.integers(2, 80)), sigma))
+        # a 40-ulp battery that straddles 2**99, at the range limit: at the
+        # first sigma the points around its upper centers round to the
+        # center (step 0) and those around the lower ones do not, so numpy
+        # lays every row out as lo + (i / (n - 1)) * (hi - lo), not as
+        # lo + i * ((hi - lo) / (n - 1)); the lower rows span a few ulps, so
+        # their points round alike either way
+        s_min, s_max = 2.0**99 * (1 - 2.0**-50), 2.0**99 * (1 + 2.0**-48)
+        assert s_max <= MAX_MAGNITUDE
+        bat = simple_battery(
+            s_min=s_min, s_max=s_max, gamma_2=0.5 * (s_max - s_min) / 3.3
+        )
+        below = np.nextafter(2.0**99, 0.0)
+        traj = np.array([s_min, s_min, below, 2.0**99, s_max, s_max, s_max])
+        steps = (traj + 1.5 * 2.0**45) - (traj - 1.5 * 2.0**45)
+        assert (steps == 0.0).any() and (steps > 0.0).any()
+        for sigma in (1.5 * 2.0**45, 0.5 * (s_max - s_min)):
+            cases.append((lone_env(bat, 6), traj, 41, sigma))
+        seen = {"below": 0, "above": 0}
+        for case, (env, traj, n, sigma) in enumerate(cases):
+            grids = _local_grids(env, traj, n, sigma)
+            ref = scalar_local_grids(env, traj, n, sigma)
+            assert grids[0] is None and len(grids) == len(traj)
+            for got, want in zip(grids[1:], ref[1:]):
+                assert got.tobytes() == want.tobytes(), case
+            seen["below"] += int((traj[1:] - sigma < env.s_min).any())
+            seen["above"] += int((traj[1:] + sigma > env.s_max).any())
+        assert min(seen.values()) > 0, seen
 
 
 def dfs_best(env, n_act):

@@ -52,6 +52,15 @@ class TestBaseline:
         assert baseline.bills == [0.0]
         assert np.all(baseline.aggregated == 0.0)
 
+    def test_no_reduction_without_a_baseline_error(self):
+        # the baseline already tracks generation exactly: 0%, not 0 / 0
+        scenario = make_scenario(
+            demands=[[0.0, 0.0]], re_outputs=[[0.0, 0.0]], generation=[0.0, 0.0]
+        )
+        report = run(scenario, CFG)
+        assert report.baseline.tracking_error == 0.0
+        assert report.equilibrium is not None and report.reduction_pct == 0.0
+
 
 class TestResultDocument:
     def test_reported_bills_recompute_exactly(self, small_report):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -81,6 +82,15 @@ class TestLoading:
         with pytest.raises(ScenarioValidationError) as exc:
             scenario_from_dict(doc)
         assert len(exc.value.problems) >= 4
+
+    def test_check_raises_every_violation_of_a_built_scenario(self):
+        scenario = synth_scenario(2, 4, seed=1)
+        assert scenario.check() is scenario
+        bad = dataclasses.replace(scenario, eta_inv=1.5, eta_bar=0.0)
+        with pytest.raises(ScenarioValidationError) as exc:
+            bad.check()
+        assert exc.value.problems == bad.validate()
+        assert [p.split(":")[0] for p in exc.value.problems] == ["eta_inv", "eta_bar"]
 
     def test_wrong_schema_version_rejected(self):
         doc = minimal_doc()
