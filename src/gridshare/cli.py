@@ -21,7 +21,7 @@ import sys
 
 import click
 
-from .engine import GameConfig, deviation_gain
+from .engine import GameConfig, deviation_gains
 from .errors import GridShareError, ScenarioValidationError
 from .report import emit, read_result, run
 from .scenario import load_scenario, save_scenario, synth_scenario
@@ -138,10 +138,7 @@ def certify(scenario_path, result_path):
     scenario = _load(scenario_path)
     config, schedules = read_result(result_path, scenario)
     eps = config.epsilon
-    gains = [
-        deviation_gain(scenario, schedules, m, config)
-        for m in range(scenario.n_households)
-    ]
+    gains = deviation_gains(scenario, schedules, config)
     ok = True
     for h, gain in zip(scenario.households, gains):
         status = "PASS" if gain <= eps else "FAIL"

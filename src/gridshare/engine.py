@@ -29,7 +29,8 @@ is adopted only when it lowers the bill by more than epsilon.  Passes climb
 from the game's grids to the check grids: the first pass that adopts
 nothing moves up, and on the check grids it certifies the state.
 ``max_sweeps`` bounds every pass; a state not certified (cycle or budget)
-is measured by one check pass that adopts nothing.  The check grids are
+is measured by :func:`deviation_gains`, which adopts nothing and runs its
+M independent searches on the usable CPUs.  The check grids are
 the ones :func:`_check_config` picks: in exact mode the game's own, where
 the search is exact for the candidate lattice, not for the continuous game,
 so the clean sweep certifies; in grid mode finer ones, where the certificate
@@ -41,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -536,16 +538,16 @@ def _respond(scenario, A, E, m, config):
     return best_a, best_e, max(0.0, old_bill - best_bill)
 
 
-def _pass(scenario, A, E, config, adopt=True):
+def _pass(scenario, A, E, config):
     """One Gauss-Seidel pass in id order; returns every household's gain.
 
     A response is adopted when it lowers the bill by more than
-    ``config.epsilon``; ``adopt=False`` only measures.
+    ``config.epsilon``.
     """
     gains = []
     for m in range(A.shape[0]):
         a, e, gain = _respond(scenario, A, E, m, config)
-        if adopt and gain > config.epsilon:
+        if gain > config.epsilon:
             A[m] = a
             E[m] = e
         gains.append(gain)
@@ -604,6 +606,48 @@ def deviation_gain(
     """
     A, E = _matrices(schedules)
     return _respond(scenario, A, E, m, _check_config(scenario, config))[2]
+
+
+_FROZEN = None  # (scenario, A, E, check config) in a measuring worker
+
+
+def _freeze(*state):
+    global _FROZEN
+    _FROZEN = state
+
+
+def _frozen_gain(m):
+    scenario, A, E, config = _FROZEN
+    return _respond(scenario, A, E, m, config)[2]
+
+
+def deviation_gains(scenario: Scenario, schedules: list, config: GameConfig) -> list:
+    """Every household's :func:`deviation_gain` against one state, in id order.
+
+    The searches are independent, so they run on min(M, usable CPUs)
+    processes forked from this one.  The workers inherit the state, so only
+    household ids and gains cross the pipes, and the executor forks them all
+    before it starts its own thread.  With one CPU, or where fork is not
+    available, the searches run here.  Either way the gains are the ones
+    :func:`deviation_gain` returns, bit for bit.  A worker that dies ends
+    the call in ``BrokenProcessPool``, not in a wait.
+    """
+    A, E = _matrices(schedules)
+    check = _check_config(scenario, config)
+    ids = range(len(schedules))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(ids), cpus)
+    if workers > 1:
+        # imported here: importing the CLI must not load multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            frozen = (scenario, A, E, check)
+            with ProcessPoolExecutor(workers, context, _freeze, frozen) as pool:
+                return list(pool.map(_frozen_gain, ids))
+    return [_respond(scenario, A, E, m, check)[2] for m in ids]
 
 
 def sweep(scenario: Scenario, schedules: list, config: GameConfig):
@@ -692,13 +736,13 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
             break
         else:
             rung = check
+    schedules = [Schedule(a, e) for a, e in zip(A, E)]
     if not certified:
         # any other state is measured once, without adopting
-        gains = _pass(scenario, A, E, check, adopt=False)
+        gains = deviation_gains(scenario, schedules, config)
         log.append(
             {"sweep": len(log) + 1, "max_bill_drop": max(gains), "certification": True}
         )
-    schedules = [Schedule(a, e) for a, e in zip(A, E)]
     trace = audit_community(
         scenario.households,
         schedules,

@@ -31,6 +31,10 @@ class ScenarioValidationError(GridShareError):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 
+    def __reduce__(self):
+        # rebuilt from the list, not from the joined message in ``args``
+        return type(self), (self.problems,)
+
 
 class InfeasibleConfigError(GridShareError):
     """A solver configuration cannot be satisfied by the scenario."""

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from gridshare import GameConfig, cli
+from gridshare import GameConfig, cli, engine, errors
 from gridshare.cli import main
 from gridshare.scenario import load_scenario, save_scenario
 
@@ -20,6 +22,13 @@ from gridshare.scenario import load_scenario, save_scenario
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    # certify measures households on forked workers; none may outlive it
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def synth_file(runner, path, households=2, intervals=12, seed=5):
@@ -440,7 +449,10 @@ def _certify(runner, scen, doc, path):
 def test_certify_fails_any_gain_above_epsilon(runner, baseline_result, monkeypatch, excess, code):
     scen, doc, path = baseline_result
     eps = doc["config"]["epsilon"]
-    monkeypatch.setattr(cli, "deviation_gain", lambda *args: eps + excess)
+    def gains(scenario, schedules, config):
+        return [eps + excess] * len(schedules)
+
+    monkeypatch.setattr(cli, "deviation_gains", gains)
     result = _certify(runner, scen, doc, path)
     assert result.exit_code == code, result.output
     assert ("FAIL" in result.output) == (code == 2)
@@ -450,6 +462,66 @@ def test_certify_checks_the_intact_baseline_document(runner, baseline_result):
     result = _certify(runner, *baseline_result)
     assert result.exit_code == 2, result.output  # zero decisions are no equilibrium
     assert "FAIL" in result.output
+
+
+def _floor_day(runner, tmp_path):
+    """The 2x6 seed-5 day solved under a 6 kWh floor, as a certify input."""
+    scen = synth_file(runner, tmp_path / "floor.yaml", intervals=6, seed=5)
+    out = tmp_path / "floor"
+    flags = ["--soc-grid", "24", "--action-grid", "5", "--terminal-soc-min", "6"]
+    result = runner.invoke(main, ["solve", "--scenario", str(scen), "--out", str(out)] + flags)
+    assert result.exit_code == 0, result.output
+    return scen, json.loads((out / "result.json").read_text()), tmp_path / "result.json"
+
+
+@pytest.mark.parametrize("day, code", [("floor", 0), ("fail", 2)])
+def test_certify_output_does_not_depend_on_the_cpus(
+    runner, tmp_path, monkeypatch, day, code
+):
+    scen, doc, path = (_floor_day if day == "floor" else _baseline_result)(runner, tmp_path)
+    outputs = []
+    for cpus in (None, {0}, {0, 1}):
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        result = _certify(runner, scen, doc, path)
+        assert result.exit_code == code, result.output
+        outputs.append(result.stdout_bytes)
+    assert outputs[1:] == outputs[:1] * 2
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "workers"])
+def test_error_in_a_household_search_is_one_line(
+    runner, baseline_result, monkeypatch, cpus
+):
+    def broken(*args):
+        raise errors.InfeasibleConfigError("terminal_soc_min 6 unreachable")
+
+    # patched before the fork, so the workers inherit it
+    monkeypatch.setattr(engine, "_respond", broken)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    result = _certify(runner, *baseline_result)
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output == "error: terminal_soc_min 6 unreachable\n"
+
+
+def _error_classes(cls=errors.GridShareError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda cls: cls.__name__)
+def test_errors_survive_a_pickle_round_trip(cls):
+    # errors raised in a measuring worker reach the CLI pickled
+    if cls is errors.ScenarioValidationError:
+        exc = cls(["tariff: must be a mapping", "h1.id: a; b"])
+    else:
+        exc = cls("demand: expected 6 entries, got 5")
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is cls
+    assert str(copy) == str(exc)
+    assert vars(copy) == vars(exc)
 
 
 def _set_h1(**series):

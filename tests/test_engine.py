@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -467,13 +468,32 @@ class TestSolve:
         assert len(result.bills) == 3
         assert result.loads.shape == (3, 8)
 
+    def test_uncertified_measure_does_not_depend_on_the_cpus(self, monkeypatch):
+        # the remeasure runs on forked workers when there are two CPUs
+        scenario = synth_scenario(3, 8, seed=0)
+        config = GameConfig(soc_grid=24, action_grid=5, seed=0, max_sweeps=1)
+        results = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            results.append(solve(scenario, config))
+        one, two = results
+        assert one.converged is False
+        assert one.deviation_gains == two.deviation_gains
+        assert one.convergence_log == two.convergence_log
+        for a, b in zip(one.schedules, two.schedules):
+            assert np.array_equal(a.a, b.a) and np.array_equal(a.e, b.e)
+
     def test_revisited_state_is_reported_as_a_cycle(self, monkeypatch):
         # a pass that claims an adopting gain but leaves the state as it was
         # revisits the start, so the first pass closes a cycle
-        def fake_pass(scenario, A, E, config, adopt=True):
-            return [1.0 if adopt else 0.5] * A.shape[0]
+        def fake_pass(scenario, A, E, config):
+            return [1.0] * A.shape[0]
+
+        def fake_measure(scenario, schedules, config):
+            return [0.5] * len(schedules)
 
         monkeypatch.setattr(engine, "_pass", fake_pass)
+        monkeypatch.setattr(engine, "deviation_gains", fake_measure)
         result = solve(synth_scenario(2, 4, seed=0), GameConfig(soc_grid=8))
         assert result.cycle_detected is True and result.converged is False
         assert result.sweeps_used == 1 and result.max_deviation_gain == 0.5
