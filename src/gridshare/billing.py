@@ -3,9 +3,10 @@
 The unit price for an interval is quadratic in the gap between the
 community's aggregated load and the utility's forecast generation, plus a
 base price.  A household's daily bill sums its own load times the unit
-price over the horizon.  Two algebraically equivalent forms are provided
-(compact, and decomposed into base and quadratic terms); their agreement
-is a tested invariant.  Currency is abstract cost units.
+price over the horizon.  Every bill prices through :func:`unit_price`,
+the community's and the one the engine's best response judges a schedule
+by (:func:`daily_bill`); a decomposed form checks the compact one.
+Currency is abstract cost units.
 """
 
 from __future__ import annotations
@@ -32,14 +33,19 @@ class TariffParams:
             self.generation = np.asarray(self.generation, dtype=float)
 
 
-def unit_price(aggregated: float, generation: float, p0: float) -> float:
-    """Price per kWh for one interval: squared tracking gap plus base price."""
+def unit_price(aggregated, generation, p0):
+    """Price per kWh per interval: squared tracking gap plus base price."""
     gap = aggregated - generation
     return gap * gap + p0
 
 
+def aggregate(loads) -> np.ndarray:
+    """The community's load per interval of a (M, T) load matrix, fsum-ed."""
+    return np.array([math.fsum(column) for column in np.asarray(loads).T.tolist()])
+
+
 def daily_bill(loads_m, loads_others, tariff: TariffParams) -> float:
-    """Daily bill in compact form: sum_t l_t * price(L_t).
+    """Daily bill in compact form: sum_t l_t * price(l_t + others_t).
 
     Summed with math.fsum (compensated), so the decomposed form agrees to
     full precision even at long horizons.
@@ -47,19 +53,15 @@ def daily_bill(loads_m, loads_others, tariff: TariffParams) -> float:
     loads_m = np.asarray(loads_m, dtype=float)
     loads_others = np.asarray(loads_others, dtype=float)
     _check_lengths(loads_m, loads_others, tariff)
-    terms = [
-        loads_m[t]
-        * unit_price(loads_m[t] + loads_others[t], tariff.generation[t], tariff.p0)
-        for t in range(len(loads_m))
-    ]
-    return math.fsum(terms)
+    price = unit_price(loads_m + loads_others, tariff.generation, tariff.p0)
+    return math.fsum((loads_m * price).tolist())
 
 
 def community_bills(loads, tariff: TariffParams) -> list:
     """Every household's daily bill for a (M, T) load matrix.
 
     The shared unit price is computed once per interval from the
-    fsum-aggregated load; each bill is then fsum_t(l_mt * price_t).  This
+    aggregated load; each bill is then fsum_t(l_mt * price_t).  This
     equals daily_bill(l_m, fsum of the others) up to one rounding of the
     aggregate, and exactly for M <= 2.
     """
@@ -69,10 +71,8 @@ def community_bills(loads, tariff: TariffParams) -> list:
             "series lengths differ: loads=%d generation=%d"
             % (loads.shape[1], len(tariff.generation))
         )
-    aggregated = np.array([math.fsum(column) for column in loads.T.tolist()])
-    gap = aggregated - tariff.generation
-    terms = loads * (gap * gap + tariff.p0)
-    return [math.fsum(row) for row in terms.tolist()]
+    price = unit_price(aggregate(loads), tariff.generation, tariff.p0)
+    return [math.fsum(row) for row in (loads * price).tolist()]
 
 
 def daily_bill_decomposed(loads_m, loads_others, tariff: TariffParams) -> float:

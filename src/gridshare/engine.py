@@ -144,7 +144,7 @@ class _Env:
     def __init__(self, scenario: Scenario, A, E, m: int, terminal_min):
         d = scenario.net_demands()
         taker = d > 0.0
-        loads = np.where(taker, d + A + E, A)
+        loads = _loads(taker, d, A, E)
         offers = np.where(taker, 0.0, E)
         draws = np.where(taker, -E, 0.0)
         offers_others = offers.sum(axis=0) - offers[m]
@@ -349,7 +349,9 @@ def _stage(env, t, s, n_act, extra_a, extra_e):
         np.multiply(a_cap, fr, out=a[:, :, :n_act])
         np.minimum(np.maximum(extra_a, 0.0), a_cap, out=a[:, :, n_act:])
         loads = a
-    # loads * (gap * gap + p0) in place, finite within the scenario's bounds
+    # loads * price in place, for speed; finite within the scenario's bounds.  The
+    # gap is loads + (l_others - g), not billing.unit_price's (loads + l_others) - g,
+    # so a bill may differ in the last bit: _respond judges by billing.daily_bill
     cost = loads + (float(env.l_others[t]) - float(env.g[t]))
     cost *= cost
     cost += env.p0
@@ -357,12 +359,9 @@ def _stage(env, t, s, n_act, extra_a, extra_e):
     return a, e, cost, _transition(env, t, s, a, e)
 
 
-def _bill_of(env: _Env, a: np.ndarray, e: np.ndarray) -> float:
-    """Exact daily bill of a schedule against the frozen others."""
-    loads = np.where(env.taker, env.d + a + e, a)
-    gap = loads + env.l_others - env.g
-    terms = loads * (gap * gap + env.p0)
-    return math.fsum(terms.tolist())
+def _loads(taker, d, a, e):
+    """Grid loads under decisions (a, e): d + a + e for a taker, a for a giver."""
+    return np.where(taker, d + a + e, a)
 
 
 def _soc_trajectory(env: _Env, a: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -505,11 +504,16 @@ def _respond(scenario, A, E, m, config):
     is inf; that is how a start that misses the floor is repaired.
     """
     env = _Env(scenario, A, E, m, config.terminal_soc_min)
+
+    def bill(a, e):
+        loads = _loads(env.taker, env.d, a, e)
+        return billing.daily_bill(loads, env.l_others, scenario.tariff)
+
     n_act = config.action_grid
     best_a, best_e = A[m], E[m]
     best_soc = _soc_trajectory(env, best_a, best_e)
     floor_cost = _terminal_values(env, best_soc[-1:])[0]
-    old_bill = best_bill = _bill_of(env, best_a, best_e) + float(floor_cost)
+    old_bill = best_bill = bill(best_a, best_e) + float(floor_cost)
     exact = _exhaustive(env.taker, n_act, _EXACT_CAP)
     span = env.s_max - env.s_min
     stale = 0
@@ -525,10 +529,10 @@ def _respond(scenario, A, E, m, config):
             offsets = sigma * np.linspace(-1.0, 1.0, _OFFSETS)
         extras = best_a[:, None] + offsets, best_e[:, None] + offsets
         a, e, soc = _dp(env, grids, n_act, *extras)
-        bill = _bill_of(env, a, e)
-        if bill < best_bill - 1e-15:
-            gain = best_bill - bill
-            best_a, best_e, best_soc, best_bill = a, e, soc, bill
+        new_bill = bill(a, e)
+        if new_bill < best_bill - 1e-15:
+            gain = best_bill - new_bill
+            best_a, best_e, best_soc, best_bill = a, e, soc, new_bill
             stale = 0 if gain > config.epsilon * 1e-3 else stale + 1
         else:
             stale += 1

@@ -26,6 +26,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from . import billing
 from .decisions import Schedule, audit_community
 from .engine import EquilibriumResult, GameConfig, solve
 from .errors import GridShareError
-from .scenario import Scenario, number_series
+from .scenario import Scenario, _brief, number_series
 
 RESULT_SCHEMA_VERSION = 3
 
@@ -62,7 +63,7 @@ class BaselineResult:
 def run_baseline(scenario: Scenario) -> BaselineResult:
     """The day with batteries idle and no sharing, for a validated scenario."""
     loads = baseline_loads(scenario)
-    aggregated = np.array([math.fsum(column) for column in loads.T.tolist()])
+    aggregated = billing.aggregate(loads)
     return BaselineResult(
         loads=loads,
         aggregated=aggregated,
@@ -79,17 +80,18 @@ class RunReport:
     equilibrium: EquilibriumResult | None
     wall_time: float
 
+    @cached_property
+    def game_tracking_error(self) -> float | None:
+        """The equilibrium's tracking error, computed once; None without a game."""
+        eq, generation = self.equilibrium, self.scenario.tariff.generation
+        return None if eq is None else tracking_error(eq.aggregated, generation)
+
     @property
     def reduction_pct(self) -> float | None:
-        if self.equilibrium is None:
+        eq, base = self.game_tracking_error, self.baseline.tracking_error
+        if eq is None:
             return None
-        base = self.baseline.tracking_error
-        if base == 0.0:
-            return 0.0
-        eq = tracking_error(
-            self.equilibrium.aggregated, self.scenario.tariff.generation
-        )
-        return 100.0 * (base - eq) / base
+        return 0.0 if base == 0.0 else 100.0 * (base - eq) / base
 
 
 def run(
@@ -137,9 +139,7 @@ def result_document(report: RunReport) -> dict:
             "max_deviation_gain": float(eq.max_deviation_gain),
             "deviation_gains": dict(zip(ids, _floats(eq.deviation_gains))),
             "bills": dict(zip(ids, _floats(eq.bills))),
-            "tracking_error": tracking_error(
-                eq.aggregated, scenario.tariff.generation
-            ),
+            "tracking_error": report.game_tracking_error,
             "aggregated_load": _floats(eq.aggregated),
             "pool": _floats(eq.pool),
             "convergence_log": eq.convergence_log,
@@ -184,7 +184,8 @@ def read_result(path, scenario: Scenario):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, an overlong int
+    # bad JSON or UTF-8, an overlong int, arrays nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise GridShareError("cannot read result document: %s" % exc) from None
     try:
         return _parse_result(doc, scenario)
@@ -198,7 +199,8 @@ def _parse_result(doc, scenario: Scenario):
     version = doc.get("schema_version")
     if type(version) is not int or version != RESULT_SCHEMA_VERSION:
         raise GridShareError(
-            "schema_version: expected %d, got %r" % (RESULT_SCHEMA_VERSION, version)
+            "schema_version: expected %d, got %s"
+            % (RESULT_SCHEMA_VERSION, _brief(version))
         )
     if doc.get("scenario_digest") != scenario.digest():
         raise GridShareError("scenario digest mismatch with result document")
@@ -279,21 +281,14 @@ def summary_text(report: RunReport) -> str:
     if eq is None:
         lines.append("game: skipped (baseline only)")
     else:
-        eq_err = tracking_error(eq.aggregated, scenario.tariff.generation)
         lines += [
-            "equilibrium tracking error: %.6g" % eq_err,
+            "equilibrium tracking error: %.6g" % report.game_tracking_error,
             "tracking-error reduction: %.2f%%" % report.reduction_pct,
             "converged: %s after %d sweeps (max deviation gain %.3g)"
             % (eq.converged, eq.sweeps_used, eq.max_deviation_gain),
         ]
-        for hid, base, bill in zip(
-            [h.id for h in scenario.households],
-            report.baseline.bills,
-            eq.bills,
-        ):
-            lines.append(
-                "  %s: bill %.6g (baseline %.6g)" % (hid, bill, base)
-            )
+        for h, bill, base in zip(scenario.households, eq.bills, report.baseline.bills):
+            lines.append("  %s: bill %.6g (baseline %.6g)" % (h.id, bill, base))
     return "\n".join(lines) + "\n"
 
 

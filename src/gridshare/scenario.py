@@ -8,6 +8,7 @@ the day's discretization into T intervals of dt = 24 / T hours.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import numbers
@@ -138,11 +139,13 @@ def _is_count(value) -> bool:
 
 
 def _brief(value) -> str:
-    """``repr(value)`` cut to 40 characters; never fails on a long int."""
+    """``repr(value)`` cut to 40 characters; never fails, even on a deep list."""
     try:
         text = repr(value)
     except ValueError:  # an int longer than Python converts to text
         return "an int of %d bits" % value.bit_length()
+    except RecursionError:  # containers nested past the recursion limit
+        return "a deeply nested %s" % type(value).__name__
     return text if len(text) <= 40 else text[:37] + "..."
 
 
@@ -310,8 +313,24 @@ _PLAIN_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?").fullmatch
 _PLAIN_INT = re.compile(r"-?(?:0|[1-9][0-9]*)").fullmatch
 
 
+# deepest nesting of collections read; the schema needs 4 levels, and
+# yaml.load's C composer recurses once per level, down to a stack overflow
+_MAX_DEPTH = 256
+
+
 class _NeedsFullLoad(Exception):
     """The document holds something only ``yaml.load`` builds faithfully."""
+
+
+class _TooDeep(Exception):
+    """Collections nest deeper than ``_MAX_DEPTH`` levels: a parse error."""
+
+    def __init__(self, event):
+        mark = event.start_mark
+        super().__init__(
+            "collections nest deeper than %d levels (line %d, column %d)"
+            % (_MAX_DEPTH, mark.line + 1, mark.column + 1)
+        )
 
 
 def _scalar(loader, event):
@@ -326,9 +345,10 @@ def _scalar(loader, event):
 def _compose(loader):
     """The stream's document built from its parser events.
 
-    Raises _NeedsFullLoad on an anchor, an alias, an explicit tag, a
-    collection as a mapping key or a second document; parser and
-    constructor errors propagate.
+    Raises _TooDeep where collections nest deeper than ``_MAX_DEPTH``, and
+    _NeedsFullLoad on an anchor, an alias, an explicit tag, a collection as
+    a mapping key or a second document; parser and constructor errors
+    propagate.
     """
     get_event = loader.get_event
     get_event()  # StreamStartEvent
@@ -352,6 +372,8 @@ def _compose(loader):
             else:
                 items.append(_scalar(loader, event))
         elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+            if len(outer) == _MAX_DEPTH:
+                raise _TooDeep(event)
             if (
                 event.anchor is not None
                 or event.tag is not None
@@ -373,21 +395,53 @@ def _compose(loader):
     return items[0]
 
 
+def _check_depth(loader):
+    """Raise _TooDeep where the stream's collections nest deeper than ``_MAX_DEPTH``."""
+    depth = 0
+    while True:
+        event = loader.get_event()
+        kind = event.__class__
+        if kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise _TooDeep(event)
+        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+            depth -= 1
+        elif kind is yaml.StreamEndEvent:
+            return
+
+
+def _parse(fh, read):
+    """``read(loader)`` with a loader over ``fh``; ``fh`` is then rewound."""
+    loader = _LOADER(fh)
+    try:
+        return read(loader)
+    finally:
+        loader.dispose()
+        fh.seek(0)
+
+
 def _read_yaml(fh):
     """``yaml.load(fh)`` under YAML 1.1 safe-load rules, built from parser events.
 
     A document the event builder cannot take, or one it fails on, goes
-    whole to ``yaml.load``, so its value or its exception is that call's.
-    A pipe cannot be read twice, so it goes to ``yaml.load`` at once.
+    whole to ``yaml.load``, so its value or its exception is that call's,
+    once a second pass over its events has found no nesting deeper than
+    ``_MAX_DEPTH`` (``yaml.load`` recurses once per level).  That pass ends
+    quietly at a parser error, where ``yaml.load`` stops too.  Either pass
+    raises _TooDeep past the bound.
     """
-    if fh.seekable():
-        loader = _LOADER(fh)
-        try:
-            return _compose(loader)
-        except (_NeedsFullLoad, yaml.YAMLError, ValueError):
-            fh.seek(0)
-        finally:
-            loader.dispose()
+    if not fh.seekable():  # a pipe cannot be read twice
+        name, fh = fh.name, io.StringIO(fh.read())
+        fh.name = name  # parser errors name the file
+    try:
+        return _parse(fh, _compose)
+    except (_NeedsFullLoad, yaml.YAMLError, ValueError):
+        pass
+    try:
+        _parse(fh, _check_depth)
+    except (yaml.YAMLError, ValueError):
+        pass
     return yaml.load(fh, Loader=_LOADER)
 
 
@@ -398,7 +452,7 @@ def load_scenario(path) -> Scenario:
             data = _read_yaml(fh)
         # ValueError covers UnicodeDecodeError and the constructors' own: a
         # date that does not exist, an int longer than Python converts
-        except (yaml.YAMLError, ValueError) as exc:
+        except (yaml.YAMLError, ValueError, _TooDeep) as exc:
             raise ScenarioValidationError(["parse error: %s" % exc])
     return scenario_from_dict(data)
 

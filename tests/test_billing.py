@@ -154,3 +154,55 @@ class TestCommunityBills:
         tariff = TariffParams(p0=1.0, generation=[1.0, 2.0])
         with pytest.raises(LengthMismatchError):
             community_bills(np.ones((2, 3)), tariff)
+
+
+magnitudes = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-8, max_value=1e8),
+    st.floats(min_value=-1e8, max_value=-1e-8),
+)
+
+
+class TestOnePriceFormula:
+    # every bill prices through unit_price; these pin the vectorized forms to
+    # the per-interval terms and the matrix expression they replaced, bit for bit
+    @settings(max_examples=300)
+    @given(
+        horizon=st.integers(min_value=1, max_value=50),
+        data=st.data(),
+        p0=st.floats(min_value=1e-8, max_value=1e8),
+    )
+    def test_daily_bill_is_the_fsum_of_per_interval_terms(self, horizon, data, p0):
+        own, others, g = (
+            np.array(data.draw(st.lists(magnitudes, min_size=horizon, max_size=horizon)))
+            for _ in range(3)
+        )
+        tariff = TariffParams(p0=p0, generation=g)
+        want = math.fsum(
+            [
+                own[t] * unit_price(own[t] + others[t], tariff.generation[t], p0)
+                for t in range(horizon)
+            ]
+        )
+        assert daily_bill(own, others, tariff).hex() == want.hex()
+
+    @settings(max_examples=200)
+    @given(
+        households=st.integers(min_value=1, max_value=8),
+        horizon=st.integers(min_value=1, max_value=30),
+        data=st.data(),
+        p0=st.floats(min_value=1e-8, max_value=1e8),
+    )
+    def test_community_bills_match_the_matrix_expression(
+        self, households, horizon, data, p0
+    ):
+        size = households * horizon
+        cells = data.draw(st.lists(magnitudes, min_size=size, max_size=size))
+        loads = np.array(cells).reshape(households, horizon)
+        g = np.array(data.draw(st.lists(magnitudes, min_size=horizon, max_size=horizon)))
+        tariff = TariffParams(p0=p0, generation=g)
+        aggregated = np.array([math.fsum(column) for column in loads.T.tolist()])
+        gap = aggregated - tariff.generation
+        want = [math.fsum(row) for row in (loads * (gap * gap + p0)).tolist()]
+        got = community_bills(loads, tariff)
+        assert [b.hex() for b in got] == [b.hex() for b in want]

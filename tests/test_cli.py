@@ -591,6 +591,11 @@ BAD = "error: invalid result document: "
             BAD + "schema_version: expected 3, got True",
             id="bool-schema-version",
         ),
+        pytest.param(
+            lambda doc: doc.update(schema_version=json.loads("[" * 500 + "]" * 500)),
+            BAD + "schema_version: expected 3, got " + "[" * 37 + "...",
+            id="deep-schema-version",
+        ),
         pytest.param(lambda doc: doc.update(game=None), BAD + "no game section", id="null-game"),
         pytest.param(
             lambda doc: doc.update(config=5),
@@ -684,6 +689,8 @@ def _unreadable(tmp_path, kind, name):
         path.mkdir()
     elif kind == "huge-int":  # longer than Python converts to an int
         path.write_text('{"schema_version": %s}' % ("9" * 5000))
+    elif kind == "deep":  # nested past json's recursion limit and the YAML bound
+        path.write_text("[" * 2000 + "]" * 2000)
     else:
         path.write_bytes(NOT_UTF8)
     return path
@@ -691,8 +698,12 @@ def _unreadable(tmp_path, kind, name):
 
 @pytest.mark.parametrize(
     "kind, message",
-    [("directory", "error: cannot read scenario file"), ("not-utf8", "parse error")],
-    ids=["directory", "not-utf8"],
+    [
+        ("directory", "error: cannot read scenario file"),
+        ("not-utf8", "parse error"),
+        ("deep", "parse error: collections nest deeper than"),
+    ],
+    ids=["directory", "not-utf8", "deep"],
 )
 @pytest.mark.parametrize("command", ["check", "solve", "certify"])
 def test_unreadable_scenario_is_input_error(runner, tmp_path, command, kind, message):
@@ -788,7 +799,7 @@ def test_certify_rejects_a_day_beyond_the_numeric_range(runner, tmp_path):
     assert "  - households[h1].demand: entries must be <= 1e+30" in result.output
 
 
-@pytest.mark.parametrize("kind", ["directory", "not-utf8", "huge-int"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "huge-int", "deep"])
 def test_certify_rejects_unreadable_result(runner, baseline_result, kind):
     scen, _, path = baseline_result
     path = _unreadable(path.parent, kind, "unreadable.json")
@@ -797,7 +808,19 @@ def test_certify_rejects_unreadable_result(runner, baseline_result, kind):
     )
     assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert "error: cannot read result document" in result.output
+    assert result.output.startswith("error: cannot read result document: ")
+    assert result.output.count("\n") == 1, result.output
+
+
+def test_deep_scenario_value_is_one_listed_violation(runner, tmp_path):
+    path = tmp_path / "deep.yaml"
+    path.write_text("schema_version: 1\nT: " + "[" * 2000 + "]" * 2000 + "\n")
+    result = runner.invoke(main, ["check", "--scenario", str(path)])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert lines[0] == "scenario invalid:" and len(lines) == 2, result.output
+    assert lines[1].startswith("  - parse error: collections nest deeper than")
 
 
 @pytest.mark.parametrize(

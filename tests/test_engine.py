@@ -24,12 +24,12 @@ from gridshare import (
     synth_scenario,
 )
 from gridshare.battery import MAX_MAGNITUDE, MIN_EFFICIENCY
-from gridshare.billing import community_bills
+from gridshare.billing import community_bills, daily_bill
 from gridshare.engine import (
     _Env,
-    _bill_of,
     _dp,
     _exhaustive,
+    _loads,
     _local_grids,
     _matrices,
     _reachable_grids,
@@ -1009,7 +1009,11 @@ class TestExhaustiveSearch:
                 continue
             seen["floor"] += terminal is not None
             a, e = exhaustive_dp(env, n_act)
-            assert _bill_of(env, a, e) == _bill_of(env, ref_a, ref_e), cases
+            bills = [
+                daily_bill(_loads(env.taker, env.d, x, y), env.l_others, scenario.tariff)
+                for x, y in ((a, e), (ref_a, ref_e))
+            ]
+            assert bills[0] == bills[1], cases
             # a schedule that differs at an equal bill is an exact tie
             ties += not (np.array_equal(a, ref_a) and np.array_equal(e, ref_e))
         assert min(seen.values()) > 0, seen
@@ -1037,7 +1041,11 @@ class TestExhaustiveSearch:
         h2 = _Env(scenario, A, E, 1, None)
         ref_a, ref_e = dfs_best(h2, config.action_grid)
         assert (ref_a[0], ref_e[0]) == (-1.0, 0.0)
-        assert _bill_of(h2, ref_a, ref_e) == _bill_of(h2, A[1], E[1]) == 0.0
+        bills = [
+            daily_bill(_loads(h2.taker, h2.d, a, e), h2.l_others, scenario.tariff)
+            for a, e in ((ref_a, ref_e), (A[1], E[1]))
+        ]
+        assert bills == [0.0, 0.0]
 
 
 class TestGoldenSchedules:

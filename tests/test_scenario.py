@@ -531,3 +531,61 @@ class TestSynth:
             synth_scenario(0, 24, seed=0)
         with pytest.raises(ScenarioValidationError):
             synth_scenario(2, 1, seed=0)
+
+
+def _deep_list(levels):
+    return "[" * levels + "]" * levels
+
+
+# yaml.load's C composer recurses once per level and overflows the stack
+# near 25 000 levels, so no document deeper than the bound may reach it
+DEEPER = [
+    _deep_list(scenario_mod._MAX_DEPTH + 1),
+    "&a " + _deep_list(25_000),
+    "[" * 30_000,
+    "schema_version: 1\nT: " + _deep_list(2000),
+    "d: 2020-02-30\ne: " + _deep_list(25_000),
+    "a: *nope\nb: " + _deep_list(25_000),
+]
+DEEPER_IDS = [
+    "one-past", "anchored", "unclosed", "deep-T", "bad-date-then-deep", "alias-then-deep"
+]
+TOO_DEEP = "parse error: collections nest deeper than %d levels" % scenario_mod._MAX_DEPTH
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_the_bound_reads_like_yaml_load(self, loader):
+        text = _deep_list(scenario_mod._MAX_DEPTH) + "\n"
+        assert_reads_like_yaml_load(loader, _text(text))
+
+    @pytest.mark.parametrize("text", DEEPER, ids=DEEPER_IDS)
+    def test_deeper_is_one_parse_error(self, tmp_path, text):
+        path = tmp_path / "deep.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ScenarioValidationError) as caught:
+            load_scenario(path)
+        [problem] = caught.value.problems
+        line = text.count("\n") + 1
+        assert problem.startswith("%s (line %d, column " % (TOO_DEEP, line)), problem
+
+    @pytest.mark.parametrize("text", DEEPER[1:3], ids=DEEPER_IDS[1:3])
+    def test_deeper_from_a_pipe_is_one_parse_error(self, tmp_path, text):
+        fifo = tmp_path / "deep.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(ScenarioValidationError) as caught:
+                load_scenario(fifo)
+        finally:
+            writer.join(timeout=10)
+        [problem] = caught.value.problems
+        assert problem.startswith(TOO_DEEP), problem
+
+
+def test_brief_shows_a_value_nested_past_the_recursion_limit():
+    value = []
+    for _ in range(sys.getrecursionlimit() + 100):
+        value = [value]
+    assert scenario_mod._brief(value) == "a deeply nested list"
