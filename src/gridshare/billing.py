@@ -57,13 +57,13 @@ def daily_bill(loads_m, loads_others, tariff: TariffParams) -> float:
     return math.fsum((loads_m * price).tolist())
 
 
-def community_bills(loads, tariff: TariffParams) -> list:
+def community_bills(loads, aggregated, tariff: TariffParams) -> list:
     """Every household's daily bill for a (M, T) load matrix.
 
-    The shared unit price is computed once per interval from the
-    aggregated load; each bill is then fsum_t(l_mt * price_t).  This
-    equals daily_bill(l_m, fsum of the others) up to one rounding of the
-    aggregate, and exactly for M <= 2.
+    ``aggregated`` is its load per interval as :func:`aggregate` sums it,
+    and sets the shared unit price; each bill is fsum_t(l_mt * price_t).
+    This equals daily_bill(l_m, fsum of the others) up to one rounding of
+    the aggregate, and exactly for M <= 2.
     """
     loads = np.asarray(loads, dtype=float)
     if loads.shape[1] != len(tariff.generation):
@@ -71,7 +71,7 @@ def community_bills(loads, tariff: TariffParams) -> list:
             "series lengths differ: loads=%d generation=%d"
             % (loads.shape[1], len(tariff.generation))
         )
-    price = unit_price(aggregate(loads), tariff.generation, tariff.p0)
+    price = unit_price(aggregated, tariff.generation, tariff.p0)
     return [math.fsum(row) for row in (loads * price).tolist()]
 
 

@@ -755,10 +755,9 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
         scenario.dt,
         config.terminal_soc_min,
     )
-    bills = billing.community_bills(trace.loads, scenario.tariff)
     return EquilibriumResult(
         schedules=schedules,
-        bills=bills,
+        bills=billing.community_bills(trace.loads, trace.aggregated, scenario.tariff),
         loads=trace.loads,
         aggregated=trace.aggregated,
         pool=trace.pool_leftover,

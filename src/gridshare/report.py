@@ -67,7 +67,7 @@ def run_baseline(scenario: Scenario) -> BaselineResult:
     return BaselineResult(
         loads=loads,
         aggregated=aggregated,
-        bills=billing.community_bills(loads, scenario.tariff),
+        bills=billing.community_bills(loads, aggregated, scenario.tariff),
         tracking_error=tracking_error(aggregated, scenario.tariff.generation),
     )
 

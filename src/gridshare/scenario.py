@@ -317,40 +317,26 @@ _PLAIN_INT = re.compile(r"-?(?:0|[1-9][0-9]*)").fullmatch
 # yaml.load's C composer recurses once per level, down to a stack overflow
 _MAX_DEPTH = 256
 
-
-class _NeedsFullLoad(Exception):
-    """The document holds something only ``yaml.load`` builds faithfully."""
+_FULL_LOAD = object()  # _compose's answer for a document only yaml.load builds
 
 
 class _TooDeep(Exception):
     """Collections nest deeper than ``_MAX_DEPTH`` levels: a parse error."""
 
-    def __init__(self, event):
-        mark = event.start_mark
-        super().__init__(
-            "collections nest deeper than %d levels (line %d, column %d)"
-            % (_MAX_DEPTH, mark.line + 1, mark.column + 1)
-        )
-
-
-def _scalar(loader, event):
-    """A scalar's value as PyYAML's resolver and safe constructor give it."""
-    tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
-    construct = loader.yaml_constructors.get(tag)
-    if construct is None:  # merge key, value key, ...
-        raise _NeedsFullLoad
-    return construct(loader, yaml.ScalarNode(tag, event.value, style=event.style))
-
 
 def _compose(loader):
-    """The stream's document built from its parser events.
+    """The stream's document built from its parser events, in one walk.
 
-    Raises _TooDeep where collections nest deeper than ``_MAX_DEPTH``, and
-    _NeedsFullLoad on an anchor, an alias, an explicit tag, a collection as
-    a mapping key or a second document; parser and constructor errors
-    propagate.
+    The walk goes from stream start to stream end.  At an anchor, an alias,
+    an explicit tag, a collection as a mapping key, a second document, the
+    nesting bound or a scalar that does not convert (a ConstructorError or
+    ValueError: a merge or value key, a date that does not exist, an int
+    longer than Python converts) it stops building, walks on counting
+    nesting only and returns _FULL_LOAD.  Raises _TooDeep past
+    ``_MAX_DEPTH``; an error from ``get_event`` ends the walk and propagates.
     """
     get_event = loader.get_event
+    constructors = loader.yaml_constructors
     get_event()  # StreamStartEvent
     if isinstance(get_event(), yaml.StreamEndEvent):
         return None
@@ -363,23 +349,29 @@ def _compose(loader):
         kind = event.__class__
         if kind is yaml.ScalarEvent:
             if event.anchor is not None or event.tag is not None:
-                raise _NeedsFullLoad
+                break
             value = event.value
-            if event.implicit[0] and _PLAIN_FLOAT(value):
-                items.append(float(value))
-            elif event.implicit[0] and _PLAIN_INT(value):
-                items.append(int(value))
-            else:
-                items.append(_scalar(loader, event))
+            try:
+                if event.implicit[0] and _PLAIN_FLOAT(value):
+                    value = float(value)
+                elif event.implicit[0] and _PLAIN_INT(value):
+                    value = int(value)
+                else:
+                    tag = loader.resolve(yaml.ScalarNode, value, event.implicit)
+                    node = yaml.ScalarNode(tag, value, style=event.style)
+                    # a merge or value key has none; the undefined tag's raises
+                    value = constructors.get(tag, constructors[None])(loader, node)
+            except (yaml.YAMLError, ValueError):
+                break
+            items.append(value)
         elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
-            if len(outer) == _MAX_DEPTH:
-                raise _TooDeep(event)
             if (
-                event.anchor is not None
+                len(outer) == _MAX_DEPTH
+                or event.anchor is not None
                 or event.tag is not None
                 or (is_mapping and len(items) % 2 == 0)
             ):
-                raise _NeedsFullLoad
+                break
             outer.append((items, is_mapping))
             items, is_mapping = [], kind is yaml.MappingStartEvent
         elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
@@ -387,62 +379,52 @@ def _compose(loader):
             items, is_mapping = outer.pop()
             items.append(value)
         elif kind is yaml.DocumentEndEvent:
+            event = get_event()
+            if isinstance(event, yaml.StreamEndEvent):
+                return items[0]
             break
         elif kind is yaml.AliasEvent:
-            raise _NeedsFullLoad
-    if not isinstance(get_event(), yaml.StreamEndEvent):
-        raise _NeedsFullLoad
-    return items[0]
-
-
-def _check_depth(loader):
-    """Raise _TooDeep where the stream's collections nest deeper than ``_MAX_DEPTH``."""
-    depth = 0
-    while True:
-        event = loader.get_event()
+            break
+    depth = len(outer)
+    while not isinstance(event, yaml.StreamEndEvent):
         kind = event.__class__
         if kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
             depth += 1
             if depth > _MAX_DEPTH:
-                raise _TooDeep(event)
+                mark = event.start_mark
+                raise _TooDeep(
+                    "collections nest deeper than %d levels (line %d, column %d)"
+                    % (_MAX_DEPTH, mark.line + 1, mark.column + 1)
+                )
         elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
             depth -= 1
-        elif kind is yaml.StreamEndEvent:
-            return
-
-
-def _parse(fh, read):
-    """``read(loader)`` with a loader over ``fh``; ``fh`` is then rewound."""
-    loader = _LOADER(fh)
-    try:
-        return read(loader)
-    finally:
-        loader.dispose()
-        fh.seek(0)
+        event = get_event()
+    return _FULL_LOAD
 
 
 def _read_yaml(fh):
     """``yaml.load(fh)`` under YAML 1.1 safe-load rules, built from parser events.
 
-    A document the event builder cannot take, or one it fails on, goes
-    whole to ``yaml.load``, so its value or its exception is that call's,
-    once a second pass over its events has found no nesting deeper than
-    ``_MAX_DEPTH`` (``yaml.load`` recurses once per level).  That pass ends
-    quietly at a parser error, where ``yaml.load`` stops too.  Either pass
-    raises _TooDeep past the bound.
+    One walk over the events (:func:`_compose`) builds the document and
+    bounds its nesting at ``_MAX_DEPTH`` (``yaml.load`` recurses once per
+    level).  A document the walk does not build, or one whose walk ends at
+    a parser error or at text that does not decode, is read again, whole,
+    by ``yaml.load``, so its value or its exception is that call's.
     """
     if not fh.seekable():  # a pipe cannot be read twice
         name, fh = fh.name, io.StringIO(fh.read())
         fh.name = name  # parser errors name the file
+    loader = _LOADER(fh)
     try:
-        return _parse(fh, _compose)
-    except (_NeedsFullLoad, yaml.YAMLError, ValueError):
-        pass
-    try:
-        _parse(fh, _check_depth)
-    except (yaml.YAMLError, ValueError):
-        pass
-    return yaml.load(fh, Loader=_LOADER)
+        data = _compose(loader)
+    except (yaml.YAMLError, ValueError):  # from get_event; yaml.load meets it too
+        data = _FULL_LOAD
+    finally:
+        loader.dispose()
+    if data is _FULL_LOAD:
+        fh.seek(0)
+        data = yaml.load(fh, Loader=_LOADER)
+    return data
 
 
 def load_scenario(path) -> Scenario:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridshare import TariffParams, daily_bill, daily_bill_decomposed, unit_price
-from gridshare.billing import community_bills
+from gridshare.billing import aggregate, community_bills
 from gridshare.errors import LengthMismatchError
 
 from conftest import make_scenario
@@ -137,7 +137,7 @@ class TestCommunityBills:
         loads = rng.uniform(0.0, 3.0, size=(households, horizon))
         generation = rng.uniform(0.0, 3.0 * households, size=horizon)
         tariff = TariffParams(p0=0.01, generation=generation)
-        bills = community_bills(loads, tariff)
+        bills = community_bills(loads, aggregate(loads), tariff)
         assert len(bills) == households
         for m in range(households):
             others = [
@@ -153,7 +153,7 @@ class TestCommunityBills:
     def test_length_mismatch_rejected(self):
         tariff = TariffParams(p0=1.0, generation=[1.0, 2.0])
         with pytest.raises(LengthMismatchError):
-            community_bills(np.ones((2, 3)), tariff)
+            community_bills(np.ones((2, 3)), np.full(3, 2.0), tariff)
 
 
 magnitudes = st.one_of(
@@ -204,5 +204,5 @@ class TestOnePriceFormula:
         aggregated = np.array([math.fsum(column) for column in loads.T.tolist()])
         gap = aggregated - tariff.generation
         want = [math.fsum(row) for row in (loads * (gap * gap + p0)).tolist()]
-        got = community_bills(loads, tariff)
+        got = community_bills(loads, aggregate(loads), tariff)
         assert [b.hex() for b in got] == [b.hex() for b in want]

@@ -24,7 +24,7 @@ from gridshare import (
     synth_scenario,
 )
 from gridshare.battery import MAX_MAGNITUDE, MIN_EFFICIENCY
-from gridshare.billing import community_bills, daily_bill
+from gridshare.billing import aggregate, community_bills, daily_bill
 from gridshare.engine import (
     _Env,
     _dp,
@@ -1159,7 +1159,8 @@ def test_days_at_the_range_limits_price_without_overflow(day):
         schedules, _ = sweep(day, schedules_from_state(A, E), config)
         A, E = _matrices(schedules)
         d = day.net_demands()
-        bills = community_bills(np.where(d > 0.0, d + A + E, A), day.tariff)
+        loads = np.where(d > 0.0, d + A + E, A)
+        bills = community_bills(loads, aggregate(loads), day.tariff)
         baseline = run_baseline(day)
     assert all(math.isfinite(b) for b in bills + baseline.bills)
     assert math.isfinite(baseline.tracking_error)

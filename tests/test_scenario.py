@@ -415,7 +415,8 @@ class TestReadsLikeYamlLoad:
     @settings(max_examples=150, deadline=None)
     @given(
         text=st.recursive(
-            st.sampled_from(SCALARS)
+            # a tag or an anchor sends the document to yaml.load mid-walk
+            st.sampled_from(SCALARS + ["!!str 5", "&a 1"])
             | st.floats().map(repr)
             | st.integers(-(10**20), 10**20).map(str),
             lambda inner: st.lists(inner, max_size=4).map(
@@ -430,6 +431,35 @@ class TestReadsLikeYamlLoad:
     )
     def test_any_document(self, loader, text):
         assert_reads_like_yaml_load(loader, _text(text))
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize(
+    "text",
+    ["a: &x [1, 2]\nb: *x\n", "d: 2020-02-30\ne: [1, 2, 3]\n", "a: 1\n---\nb: 2\n"],
+    ids=["alias", "bad-date", "two-documents"],
+)
+def test_a_document_for_yaml_load_is_walked_once(loader, text):
+    walkers, events, loads = set(), [], []
+
+    class Counting(loader):
+        loading = False
+
+        def get_event(self):
+            if not self.loading:  # yaml.load's own reading is not the walk
+                walkers.add(self)
+                events.append(1)
+            return super().get_event()
+
+        def get_single_data(self):
+            self.loading = True
+            loads.append(1)
+            return super().get_single_data()
+
+    assert_reads_like_yaml_load(Counting, _text(text))
+    assert len(events) == len(list(yaml.parse(text, Loader=loader)))
+    assert len(walkers) == 1
+    assert len(loads) == 2  # one from the reader, one from the comparison
 
 
 def test_plain_scenario_is_built_without_yaml_load(tmp_path, monkeypatch):
@@ -546,9 +576,17 @@ DEEPER = [
     "schema_version: 1\nT: " + _deep_list(2000),
     "d: 2020-02-30\ne: " + _deep_list(25_000),
     "a: *nope\nb: " + _deep_list(25_000),
+    # the walk stops building at each of these and still bounds the nesting after
+    "a: " + "1" * 5000 + "\nb: " + _deep_list(25_000),
+    "a: 1\n---\n" + _deep_list(25_000),
+    "a: !!str 5\nb: " + _deep_list(25_000),
+    "? [1]\n: 2\nb: " + _deep_list(25_000),
+    "<<: {}\nb: " + _deep_list(25_000),
 ]
 DEEPER_IDS = [
-    "one-past", "anchored", "unclosed", "deep-T", "bad-date-then-deep", "alias-then-deep"
+    "one-past", "anchored", "unclosed", "deep-T", "bad-date-then-deep", "alias-then-deep",
+    "long-int-then-deep", "deep-second-document", "tag-then-deep",
+    "collection-key-then-deep", "merge-then-deep",
 ]
 TOO_DEEP = "parse error: collections nest deeper than %d levels" % scenario_mod._MAX_DEPTH
 
@@ -569,7 +607,9 @@ class TestNestingBound:
         line = text.count("\n") + 1
         assert problem.startswith("%s (line %d, column " % (TOO_DEEP, line)), problem
 
-    @pytest.mark.parametrize("text", DEEPER[1:3], ids=DEEPER_IDS[1:3])
+    @pytest.mark.parametrize(
+        "text", DEEPER[1:3] + DEEPER[6:7], ids=DEEPER_IDS[1:3] + DEEPER_IDS[6:7]
+    )
     def test_deeper_from_a_pipe_is_one_parse_error(self, tmp_path, text):
         fifo = tmp_path / "deep.fifo"
         os.mkfifo(fifo)
