@@ -10,7 +10,6 @@ against the utility's generation forecast, before and after optimization.
 import numpy as np
 
 from gridshare import GameConfig, run, synth_scenario
-from gridshare.report import tracking_error
 
 scenario = synth_scenario(4, 24, seed=7)
 config = GameConfig()
@@ -42,7 +41,7 @@ for t in range(scenario.horizon):
 
 print()
 base_err = report.baseline.tracking_error
-eq_err = tracking_error(eq.aggregated, g)
+eq_err = report.game_tracking_error
 print("tracking error: baseline %.4f, equilibrium %.4f (%.1f%% lower)" % (
     base_err, eq_err, report.reduction_pct))
 print()

@@ -215,9 +215,15 @@ def replay_household(
     violates SOC bounds or leaves its role's feasible region (rate limits,
     SOC headroom, load >= 0) at the replayed SOC.  The pool is unbounded
     here: pool-level feasibility is checked by :func:`audit_community`.
+    Raises LengthMismatchError if the schedule is not the household's length.
     """
-    horizon = len(schedule)
     d = net_demand(profile.demand, profile.re_output, eta_inv)
+    horizon = len(d)
+    if len(schedule) != horizon:
+        raise LengthMismatchError(
+            "schedule of %s has %d intervals, the day %d"
+            % (profile.id, len(schedule), horizon)
+        )
     bat = profile.battery
     taker = d > 0.0
     loads = np.zeros(horizon)

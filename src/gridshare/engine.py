@@ -292,63 +292,58 @@ def _fractions(n_act):
     return fr, back
 
 
+def _clip(x, lo, hi, out=None):
+    """``x`` clipped into [lo, hi] as ``np.minimum(np.maximum(x, lo), hi)``.
+
+    On a tie of signed zeros this takes the bound's sign (np.clip's depends
+    on the array layout); the extra then repeats, at the same cost, a sample
+    that the rollout's tie rule keeps, so no schedule sees the sign.
+    """
+    return np.minimum(np.maximum(x, lo), hi, out=out)
+
+
+def _p_axis(lo, hi, fr, extra, zero):
+    """(n, P, 1) P axis: ``lo + fr * (hi - lo)``, a 0 if ``zero``, then ``extra``."""
+    zeros = [np.zeros((len(lo), 1, 1))] if zero else []
+    samples = lo + fr[:, None] * (hi - lo)
+    return np.concatenate([samples, *zeros, _clip(extra[:, None], lo, hi)], axis=1)
+
+
+def _q_axis(scale, samples, extra, lo, hi):
+    """(n, P, Q) Q axis: ``scale * samples``, then ``extra`` clipped to [lo, hi]."""
+    out = np.empty(scale.shape[:2] + (len(samples) + len(extra),))
+    np.multiply(scale, samples, out=out[:, :, : len(samples)])
+    _clip(extra, lo, hi, out=out[:, :, len(samples) :])
+    return out
+
+
 def _stage(env, t, s, n_act, extra_a, extra_e):
     """Interval ``t``'s candidates, priced, for every state in ``s``.
 
     Returns (a, e, cost, nxt): the region samples plus the clipped extras,
     each pair's stage cost and its next SOC, as arrays that broadcast to
-    one (n, P, Q) block.  A taker's actions run along P and its draws along
-    Q; a draw moves the load but never the SOC, so ``nxt`` is (n, P, 1).
-    When the pool left at ``t`` is empty, every draw of an action equals its
-    floor ``e_lo``, a signed zero, so the draw axis is the one column
-    ``e_lo`` and the block is (n, P, 1).  A giver's offers run along P and
-    its grid charges along Q.
-
-    An extra is clipped as ``np.minimum(np.maximum(x, lo), hi)``, which on
-    a tie of signed zeros takes the bound's sign (np.clip's choice there
-    depends on the array layout).  Such an extra repeats, at the same cost,
-    an earlier sample that the rollout's tie rule keeps, so no schedule
-    sees the sign.
+    one (n, P, Q) block.  A taker's actions, 0 among them, run along P
+    (:func:`_p_axis`) and its draws along Q (:func:`_q_axis`); a draw moves
+    the load but never the SOC, so ``nxt`` is (n, P, 1).  When the pool
+    left at ``t`` is empty, every draw of an action equals its floor
+    ``e_lo``, a signed zero, so the draw axis is that one column and the
+    block is (n, P, 1).  A giver's offers run along P and its charges along Q.
     """
     d = float(env.d[t])
-    n = len(s)
     s = s[:, None, None]
     phi_p = _phi_plus_vec(env, s)
     fr, back = _fractions(n_act)
-    along_p = fr[None, :, None]
     if env.taker[t]:
-        a_lo, a_hi = _taker_action_range(env, s, d, phi_p)
-        a = np.concatenate(
-            [
-                a_lo + along_p * (a_hi - a_lo),
-                np.zeros((n, 1, 1)),
-                np.minimum(np.maximum(extra_a[None, :, None], a_lo), a_hi),
-            ],
-            axis=1,
-        )
+        a = _p_axis(*_taker_action_range(env, s, d, phi_p), fr, extra_a, True)
         pool = float(env.pool_avail[t])
         e_lo = _taker_draw_floor(d, a, pool)
-        if pool > 0.0:
-            e = np.empty((n, a.shape[1], n_act + len(extra_e)))
-            np.multiply(e_lo, back, out=e[:, :, :n_act])
-            np.minimum(np.maximum(extra_e, e_lo), 0.0, out=e[:, :, n_act:])
-        else:
-            e = e_lo
+        e = _q_axis(e_lo, back, extra_e, e_lo, 0.0) if pool > 0.0 else e_lo
         loads = d + a + e
     else:
-        e_lo, e_hi = _giver_offer_range(env, s, d, phi_p, float(env.min_offer[t]))
-        e = np.concatenate(
-            [
-                e_lo + along_p * (e_hi - e_lo),
-                np.minimum(np.maximum(extra_e[None, :, None], e_lo), e_hi),
-            ],
-            axis=1,
-        )
+        e_range = _giver_offer_range(env, s, d, phi_p, float(env.min_offer[t]))
+        e = _p_axis(*e_range, fr, extra_e, False)
         a_cap = _giver_charge_cap(env, s, d, phi_p, e)
-        a = np.empty((n, e.shape[1], n_act + len(extra_a)))
-        np.multiply(a_cap, fr, out=a[:, :, :n_act])
-        np.minimum(np.maximum(extra_a, 0.0), a_cap, out=a[:, :, n_act:])
-        loads = a
+        a = loads = _q_axis(a_cap, fr, extra_a, 0.0, a_cap)
     # loads * price in place, for speed; finite within the scenario's bounds.  The
     # gap is loads + (l_others - g), not billing.unit_price's (loads + l_others) - g,
     # so a bill may differ in the last bit: _respond judges by billing.daily_bill
@@ -434,13 +429,10 @@ def _dp(env, grids, n_act, extras_a, extras_e):
                 "terminal_soc_min %g unreachable from SOC %g at t=%d"
                 % (env.terminal_min, s, t)
             )
-        # deterministic tie-breaking: cost, then |a|, then |e|, then SOC, over
-        # the pairs at the least cost
+        # deterministic tie-breaking over the pairs at the least cost: |a|, |e|, SOC
         ties = np.flatnonzero(total == total.min())
-        _, p, q = np.unravel_index(ties, cost.shape)
-        # a, e and nxt each span the P axis and either Q or 1 along Q
-        a, e, nxt = (x[0, p, q % x.shape[2]] for x in (a, e, nxt))
-        best = np.lexsort((nxt, np.abs(e), np.abs(a), total[ties]))[0]
+        a, e, nxt = (np.broadcast_to(x, cost.shape).ravel()[ties] for x in (a, e, nxt))
+        best = np.lexsort((nxt, np.abs(e), np.abs(a)))[0]
         a_out[t] = a[best]
         e_out[t] = e[best]
         s = soc_out[t + 1] = float(nxt[best])

@@ -278,7 +278,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioValidationError(["document root must be a mapping"])
     problems = []
     version = data.get("schema_version")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         problems.append(
             "schema_version: expected %d, got %s" % (SCHEMA_VERSION, _brief(version))
         )

@@ -10,6 +10,7 @@ from gridshare import (
     net_demand,
     phi_minus,
     phi_plus,
+    synth_scenario,
     taker_bounds,
 )
 from gridshare.battery import FEAS_TOL
@@ -226,6 +227,24 @@ class TestCommunityReplay:
     def test_schedule_series_must_match(self):
         with pytest.raises(LengthMismatchError):
             Schedule([0.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "lengths, short",
+        [((3, 3), "h1 has 3"), ((7, 7), "h1 has 7"), ((6, 3), "h2 has 3")],
+        ids=["cut", "one-too-many", "one-short"],
+    )
+    def test_schedule_of_another_length_rejected(self, rng, lengths, short):
+        # cut short, one interval too many, or one full and one short: each is
+        # a LengthMismatchError, neither a shorter trace nor a bare numpy error
+        scenario = synth_scenario(2, 6, 5)
+        full = sample_schedules(scenario, rng)
+        assert _audit(scenario, full).loads.shape == (2, 6)
+        schedules = [
+            Schedule(np.append(s.a, 0.0)[:n], np.append(s.e, 0.0)[:n])
+            for s, n in zip(full, lengths)
+        ]
+        with pytest.raises(LengthMismatchError, match=short + " intervals, the day 6"):
+            _audit(scenario, schedules)
 
     @pytest.mark.parametrize(
         "above, missed", [(0.0, False), (0.5 * FEAS_TOL, False), (2 * FEAS_TOL, True)]

@@ -29,13 +29,18 @@ from gridshare.engine import (
     _Env,
     _dp,
     _exhaustive,
+    _fractions,
+    _giver_charge_cap,
+    _giver_offer_range,
     _loads,
     _local_grids,
     _matrices,
+    _phi_plus_vec,
     _reachable_grids,
     _respond,
     _soc_trajectory,
     _stage,
+    _taker_action_range,
     _taker_draw_floor,
     _terminal_values,
     _transition,
@@ -813,6 +818,97 @@ class TestEmptyPool:
             empty = env.taker & ~(env.pool_avail > 0.0)
             seen["empty"] += int(empty.sum())
             seen["negative_zero"] += int(np.signbit(e[empty]).sum())
+        assert min(seen.values()) > 0, seen
+
+
+def clipped(x, lo, hi):
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def looped_layout(env, t, states, n_act, extra_a, extra_e):
+    """:func:`_stage`'s (a, e) blocks, laid out one state and one entry at a time.
+
+    Each state's ranges come from the region helpers; the samples of a range
+    are ``_fractions``'s, and each extra is clipped into the range it joins.
+    """
+    fr, back = _fractions(n_act)
+    d = float(env.d[t])
+    pool = float(env.pool_avail[t])
+    a_rows, e_rows = [], []
+    for s in states:
+        phi_p = _phi_plus_vec(env, s)
+        if env.taker[t]:
+            lo, hi = _taker_action_range(env, s, d, phi_p)
+            acts = [lo + f * (hi - lo) for f in fr] + [0.0]
+            acts += [clipped(x, lo, hi) for x in extra_a]
+            draws = []
+            for a in acts:
+                e_lo = _taker_draw_floor(d, a, pool)
+                row = [e_lo]
+                if pool > 0.0:
+                    row = [e_lo * b for b in back]
+                    row += [clipped(x, e_lo, 0.0) for x in extra_e]
+                draws.append(row)
+            a_rows.append([[a] for a in acts])
+            e_rows.append(draws)
+        else:
+            lo, hi = _giver_offer_range(env, s, d, phi_p, float(env.min_offer[t]))
+            offers = [lo + f * (hi - lo) for f in fr]
+            offers += [clipped(x, lo, hi) for x in extra_e]
+            charges = []
+            for e in offers:
+                cap = _giver_charge_cap(env, s, d, phi_p, e)
+                row = [cap * f for f in fr] + [clipped(x, 0.0, cap) for x in extra_a]
+                charges.append(row)
+            a_rows.append(charges)
+            e_rows.append([[e] for e in offers])
+    return np.array(a_rows, dtype=float), np.array(e_rows, dtype=float)
+
+
+class TestStageLayout:
+    def test_blocks_match_a_per_state_loop_bit_for_bit(self):
+        # the layout of every decision axis, checked against scalar loops over
+        # the region helpers rather than against _stage's own blocks
+        rng = np.random.default_rng(27)
+        seen = {"taker": 0, "empty": 0, "giver": 0, "inside": 0, "outside": 0}
+        for case in range(30):
+            M, T = int(rng.integers(2, 5)), int(rng.integers(3, 9))
+            scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
+            A, E = initial_state(scenario, GameConfig(seed=case))
+            quiet = rng.random(T) < 0.4  # nobody offers here: the pool is empty
+            E[:, quiet] = np.minimum(E[:, quiet], 0.0)
+            m = int(rng.integers(0, M))
+            env = _Env(scenario, A, E, m, None)
+            n_act = int(rng.integers(2, 8))
+            states = np.concatenate(
+                [[env.s_min, env.s_max], rng.uniform(env.s_min, env.s_max, 6)]
+            )
+            for t in range(T):
+                # extras well inside and well outside the ranges, and both zeros
+                spread = 2.0 * (env.s_max - env.s_min)
+                extra_a = np.concatenate([rng.uniform(-spread, spread, 4), [0.0, -0.0]])
+                extra_e = np.concatenate([rng.uniform(-spread, spread, 4), [-0.0, 0.0]])
+                a, e, _, _ = _stage(env, t, states, n_act, extra_a, extra_e)
+                ref_a, ref_e = looped_layout(env, t, states, n_act, extra_a, extra_e)
+                for got, ref in ((a, ref_a), (e, ref_e)):
+                    assert got.shape == ref.shape, (case, t)
+                    assert got.tobytes() == ref.tobytes(), (case, t)
+                    assert np.array_equal(np.signbit(got), np.signbit(ref)), (case, t)
+                kind = "giver"
+                if env.taker[t]:
+                    kind = "taker" if env.pool_avail[t] > 0.0 else "empty"
+                seen[kind] += 1
+                # an extra lay inside its range where clipping left it as it was
+                axes = [(a, extra_a), (e, extra_e)]
+                if kind == "giver":
+                    axes.reverse()  # offers run along P, charges along Q
+                (p, extra_p), (q, extra_q) = axes
+                kept = [p[:, -len(extra_p) :, 0] == extra_p]
+                if kind != "empty":
+                    kept.append(q[:, :, -len(extra_q) :] == extra_q)
+                for inside in kept:
+                    seen["inside"] += int(inside.sum())
+                    seen["outside"] += int((~inside).sum())
         assert min(seen.values()) > 0, seen
 
 

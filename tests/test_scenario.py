@@ -93,11 +93,14 @@ class TestLoading:
         assert [p.split(":")[0] for p in exc.value.problems] == ["eta_inv", "eta_bar"]
 
     def test_wrong_schema_version_rejected(self):
-        doc = minimal_doc()
-        doc["schema_version"] = 99
-        with pytest.raises(ScenarioValidationError) as exc:
-            scenario_from_dict(doc)
-        assert any("schema_version" in p for p in exc.value.problems)
+        # the version is the integer 1: not a float, bool or string equal to it
+        shown = [(99, "99"), (1.0, "1.0"), (True, "True"), ("1", "'1'"), (None, "None")]
+        for version, text in shown:
+            doc = minimal_doc()
+            doc["schema_version"] = version
+            with pytest.raises(ScenarioValidationError) as exc:
+                scenario_from_dict(doc)
+            assert exc.value.problems == ["schema_version: expected 1, got " + text]
 
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.yaml"
