@@ -47,14 +47,14 @@ def aggregate(loads) -> np.ndarray:
 def daily_bill(loads_m, loads_others, tariff: TariffParams) -> float:
     """Daily bill in compact form: sum_t l_t * price(l_t + others_t).
 
-    Summed with math.fsum (compensated), so the decomposed form agrees to
-    full precision even at long horizons.
+    The one-household row of :func:`community_bills`, summed with
+    math.fsum (compensated), so the decomposed form agrees to full
+    precision even at long horizons.
     """
     loads_m = np.asarray(loads_m, dtype=float)
     loads_others = np.asarray(loads_others, dtype=float)
-    _check_lengths(loads_m, loads_others, tariff)
-    price = unit_price(loads_m + loads_others, tariff.generation, tariff.p0)
-    return math.fsum((loads_m * price).tolist())
+    _check_lengths(tariff, own=loads_m, others=loads_others)
+    return community_bills(loads_m[None], loads_m + loads_others, tariff)[0]
 
 
 def community_bills(loads, aggregated, tariff: TariffParams) -> list:
@@ -66,11 +66,7 @@ def community_bills(loads, aggregated, tariff: TariffParams) -> list:
     the aggregate, and exactly for M <= 2.
     """
     loads = np.asarray(loads, dtype=float)
-    if loads.shape[1] != len(tariff.generation):
-        raise LengthMismatchError(
-            "series lengths differ: loads=%d generation=%d"
-            % (loads.shape[1], len(tariff.generation))
-        )
+    _check_lengths(tariff, loads=loads, aggregated=aggregated)
     price = unit_price(aggregated, tariff.generation, tariff.p0)
     return [math.fsum(row) for row in (loads * price).tolist()]
 
@@ -79,7 +75,7 @@ def daily_bill_decomposed(loads_m, loads_others, tariff: TariffParams) -> float:
     """Daily bill split into a base-price term and a quadratic tracking term."""
     loads_m = np.asarray(loads_m, dtype=float)
     loads_others = np.asarray(loads_others, dtype=float)
-    _check_lengths(loads_m, loads_others, tariff)
+    _check_lengths(tariff, own=loads_m, others=loads_others)
     base = [loads_m[t] * tariff.p0 for t in range(len(loads_m))]
     quad = [
         loads_m[t]
@@ -89,9 +85,10 @@ def daily_bill_decomposed(loads_m, loads_others, tariff: TariffParams) -> float:
     return math.fsum(base + quad)
 
 
-def _check_lengths(loads_m, loads_others, tariff):
-    if not (len(loads_m) == len(loads_others) == len(tariff.generation)):
+def _check_lengths(tariff, **series):
+    lengths = {name: np.shape(x)[-1] for name, x in series.items()}
+    lengths["generation"] = len(tariff.generation)
+    if len(set(lengths.values())) > 1:
         raise LengthMismatchError(
-            "series lengths differ: own=%d others=%d generation=%d"
-            % (len(loads_m), len(loads_others), len(tariff.generation))
+            "series lengths differ: " + " ".join("%s=%d" % kv for kv in lengths.items())
         )

@@ -280,10 +280,15 @@ def audit_community(
     """Replay every household, verify the aggregate pool balance, and list
     every household whose final SOC ends below ``terminal_min``, if given.
 
-    This is the independent feasibility re-checker used by the solver's
-    property tests: it shares no state with the search machinery.
+    This is ``solve``'s own audit and ``certify``'s reader, and it shares
+    no state with the search.  Raises LengthMismatchError unless there is
+    one schedule per household.
     """
     n = len(profiles)
+    if len(schedules) != n:
+        raise LengthMismatchError(
+            "schedule count %d differs from household count %d" % (len(schedules), n)
+        )
     horizon = len(schedules[0])
     loads = np.zeros((n, horizon))
     soc = np.zeros((n, horizon + 1))

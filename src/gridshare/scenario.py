@@ -52,11 +52,7 @@ class Scenario:
         so it is skipped along with every check that depends on it.
         """
         problems = []
-        horizon = self.horizon if _is_count(self.horizon) else None
-        if horizon is None:
-            problems.append(
-                "T: must be a positive integer, got %s" % _brief(self.horizon)
-            )
+        horizon = _read(self.horizon, "T", problems, _count, "a positive integer")
         for name, eta in (("eta_inv", self.eta_inv), ("eta_bar", self.eta_bar)):
             if eta is not None and not MIN_EFFICIENCY <= eta <= 1.0:
                 problems.append(
@@ -79,6 +75,8 @@ class Scenario:
             if h.id in seen:
                 problems.append("%s: duplicate id" % path)
             seen.add(h.id)
+            if h.id in ("baseline", "equilibrium"):  # traces.csv's community loads
+                problems.append("%s.id: reserved for the column %s_load" % (path, h.id))
             _check_series(h.demand, path + ".demand", horizon, problems)
             _check_series(h.re_output, path + ".re_output", horizon, problems)
             bat, soc = h.battery, h.initial_soc
@@ -133,9 +131,11 @@ class Scenario:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _is_count(value) -> bool:
-    """A positive int; YAML booleans are ints to Python but not counts."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _count(value):
+    """``value`` if it is a positive int, else None; a YAML boolean is no count."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
+        return value
+    return None
 
 
 def _brief(value) -> str:
@@ -192,31 +192,35 @@ def _check_series(series, path, horizon, problems):
         problems.append("%s: entries must be <= %g" % (path, MAX_MAGNITUDE))
 
 
+def _read(value, path, problems, convert, kind):
+    """``convert(value)``; if that is None, list ``value`` as not ``kind``."""
+    result = convert(value)
+    if result is None:
+        problems.append("%s: must be %s, got %s" % (path, kind, _brief(value)))
+    return result
+
+
 def _number(value, path, problems):
-    """``value`` as a finite float; else list a violation and return None."""
-    number = finite_number(value)
-    if number is None:
-        problems.append("%s: must be a finite number, got %s" % (path, _brief(value)))
-    return number
+    return _read(value, path, problems, finite_number, "a finite number")
 
 
 def _series(value, path, problems):
-    """``value`` as a float array; else list a violation and return None.
-
-    Its range is left to :meth:`Scenario.validate`, which skips a None.
-    """
-    array = number_series(value)
-    if array is None:
-        problems.append("%s: must be a list of numbers, got %s" % (path, _brief(value)))
-    return array
+    return _read(value, path, problems, number_series, "a list of numbers")
 
 
 def _mapping(value, path, problems):
-    """``value`` if it is a mapping; else list a violation and return None."""
-    if isinstance(value, dict):
-        return value
-    problems.append("%s: must be a mapping, got %s" % (path, _brief(value)))
-    return None
+    return _read(value, path, problems, _instance(dict), "a mapping")
+
+
+def _instance(cls):
+    """A converter that keeps an instance of ``cls`` and turns the rest to None."""
+    return lambda value: value if isinstance(value, cls) else None
+
+
+def _as_id(value):
+    """A string or number id as its text; None for any other value, a bool too."""
+    readable = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+    return str(value) if readable else None
 
 
 def _tariff_from_dict(data, problems: list):
@@ -250,14 +254,11 @@ def _household_from_dict(hdata, i: int, problems: list):
     if _mapping(hdata, "households[%d]" % i, problems) is None:
         return None
     hid = hdata.get("id", i)
-    if isinstance(hid, bool) or not isinstance(hid, (str, int, float)):
-        problems.append(
-            "households[%d].id: must be a string or a number, got %s" % (i, _brief(hid))
-        )
-        hid = i
+    hid = _read(hid, "households[%d].id" % i, problems, _as_id, "a string or a number")
+    hid = str(i) if hid is None else hid
     path = "households[%s]" % hid
     return HouseholdProfile(
-        id=str(hid),
+        id=hid,
         demand=_series(hdata.get("demand"), path + ".demand", problems),
         re_output=_series(hdata.get("re_output"), path + ".re_output", problems),
         battery=_battery_from_dict(hdata.get("battery"), path + ".battery", problems),
@@ -284,15 +285,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         )
     tariff = _tariff_from_dict(data.get("tariff"), problems)
     entries = data.get("households")
-    households = None
-    if isinstance(entries, list):
-        households = [
-            _household_from_dict(hdata, i, problems) for i, hdata in enumerate(entries)
-        ]
-    else:
-        problems.append("households: must be a list, got %s" % _brief(entries))
+    entries = _read(entries, "households", problems, _instance(list), "a list")
     scenario = Scenario(
-        households=households,
+        households=None if entries is None else [
+            _household_from_dict(hdata, i, problems) for i, hdata in enumerate(entries)
+        ],
         tariff=tariff,
         eta_inv=_number(data.get("eta_inv"), "eta_inv", problems),
         eta_bar=_number(data.get("eta_bar"), "eta_bar", problems),

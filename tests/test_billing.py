@@ -151,9 +151,15 @@ class TestCommunityBills:
                 assert bills[m] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_length_mismatch_rejected(self):
-        tariff = TariffParams(p0=1.0, generation=[1.0, 2.0])
-        with pytest.raises(LengthMismatchError):
-            community_bills(np.ones((2, 3)), np.full(3, 2.0), tariff)
+        # loads longer than the generation; a 1-entry aggregate, which would
+        # otherwise broadcast one price over the whole day
+        for loads, aggregated, generation in [
+            (np.ones((2, 3)), np.full(3, 2.0), [1.0, 2.0]),
+            (np.ones((2, 4)), [1.0], np.ones(4)),
+        ]:
+            tariff = TariffParams(p0=1.0, generation=generation)
+            with pytest.raises(LengthMismatchError):
+                community_bills(loads, aggregated, tariff)
 
 
 magnitudes = st.one_of(

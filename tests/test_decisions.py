@@ -247,6 +247,20 @@ class TestCommunityReplay:
             _audit(scenario, schedules)
 
     @pytest.mark.parametrize(
+        "households, kept, counts",
+        [(2, 1, "count 1 differs from household count 2"),
+         (1, 2, "count 2 differs from household count 1")],
+        ids=["one-schedule-for-two", "two-schedules-for-one"],
+    )
+    def test_schedule_count_must_match_households(self, rng, households, kept, counts):
+        # neither a bare IndexError nor a trace that drops a schedule
+        scenario = synth_scenario(2, 6, 5)
+        schedules = sample_schedules(scenario, rng)[:kept]
+        profiles = scenario.households[:households]
+        with pytest.raises(LengthMismatchError, match="schedule " + counts):
+            audit_community(profiles, schedules, 0.95, 0.9, scenario.dt)
+
+    @pytest.mark.parametrize(
         "above, missed", [(0.0, False), (0.5 * FEAS_TOL, False), (2 * FEAS_TOL, True)]
     )
     def test_terminal_floor_judged_with_the_slack(self, above, missed):

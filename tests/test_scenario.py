@@ -189,6 +189,15 @@ MALFORMED = [
     # YAML reads an unquoted no, yes, on or off as a bool
     _one(H1 + ("id",), False, "households[0].id", "bool-id"),
     _one(("households",), minimal_doc()["households"] * 2, "households[h1]", "duplicate-id"),
+    # traces.csv names the community's loads baseline_load and equilibrium_load
+    pytest.param(
+        [(H1 + ("id",), "baseline")], ["households[baseline].id: reserved"], id="baseline-id"
+    ),
+    pytest.param(
+        [(H1 + ("id",), "equilibrium")],
+        ["households[equilibrium].id: reserved"],
+        id="equilibrium-id",
+    ),
     _one(H1 + ("demand",), [[1, 2], [3]], "households[h1].demand", "ragged-demand"),
     # the numeric range: each bound is listed once, under its field
     _one(("tariff", "p0"), 2e30, "tariff.p0", "p0-above-range"),
@@ -231,6 +240,29 @@ def test_malformed_field_is_listed(edits, prefixes):
     assert len(problems) == len(prefixes), problems
     for prefix in prefixes:
         assert sum(p.startswith(prefix) for p in problems) == 1, problems
+
+
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (("eta_inv",), "abc", "eta_inv: must be a finite number, got 'abc'"),
+        (
+            ("tariff", "generation"),
+            {"a": 1.0},
+            "tariff.generation: must be a list of numbers, got {'a': 1.0}",
+        ),
+        (("tariff",), 5, "tariff: must be a mapping, got 5"),
+        (("households",), {"a": 1}, "households: must be a list, got {'a': 1}"),
+        (H1 + ("id",), [1, 2], "households[0].id: must be a string or a number, got [1, 2]"),
+        (("T",), True, "T: must be a positive integer, got True"),
+    ],
+    ids=["number", "series", "mapping", "list", "id", "count"],
+)
+def test_type_violation_text(path, value, problem):
+    """Each type rule lists its field, its kind and the value it got, in full."""
+    with pytest.raises(ScenarioValidationError) as exc:
+        scenario_from_dict(_with(path, value))
+    assert exc.value.problems == [problem]
 
 
 @pytest.mark.parametrize(
