@@ -13,9 +13,12 @@ it.  One stage kernel lays out and prices an interval's candidates as a
 along Q, a giver's offers along P and its grid charges along Q.  A draw
 moves the load but not the SOC, so a taker's SOC step and value lookup
 run once per (state, action); where the pool is empty every draw equals
-its floor, so the draw axis is that one column.  The backward pass and the
-rollout both read that block, and the rollout breaks ties only among the
-pairs at the least cost.  For tiny instances the search is exhaustive: its
+its floor, so the draw axis is that one column, and a run of such
+intervals is priced in one kernel call, one interval per state.  The
+backward pass keeps the block's row at the incumbent's SOC, a node of every
+refinement grid; a rollout step from that node reads the row, and any other
+step prices its one state.  The rollout breaks ties only among the pairs at
+the least cost.  For tiny instances the search is exhaustive: its
 one round runs the same DP on the exact SOCs the candidate tree reaches at
 each interval, so every lookup lands on a cell and the bill equals a
 brute-force oracle's exactly.  Equal bills are split by the rollout's rule
@@ -255,21 +258,27 @@ def _giver_charge_cap(env, s, d, phi_p, e):
     return np.maximum(a_cap, 0.0)
 
 
+def _first(t):
+    """``t`` if it is one interval, else the first of an array of intervals."""
+    return t.flat[0] if isinstance(t, np.ndarray) else t
+
+
 def _transition(env, t, s, a, e):
     """Next SOC from ``s`` under (a, e); mirrors the scalar battery updates.
 
     Works on scalars and on arrays that broadcast against each other; a
     giver's ``a`` must have the broadcast shape, since its step is built in
-    place on ``c_charge * a``.
+    place on ``c_charge * a``.  ``t`` is one interval, or an array of
+    intervals of one role that broadcasts against ``s``.
     """
-    if env.taker[t]:
+    if env.taker[_first(t)]:
         nxt = np.where(
             a > 0.0,
             s + env.c_charge * a,
             np.where(a < 0.0, s + a / env.c_discharge, s * env.sdf),
         )
     else:
-        local = np.maximum(0.0, -float(env.d[t]) - e)
+        local = np.maximum(0.0, -env.d[t] - e)
         nxt = np.asarray(env.c_charge * a)  # 0-d for scalars, so out= works
         np.add(s, nxt, out=nxt)
         nxt += env.bat.eta_plus * local
@@ -303,17 +312,21 @@ def _clip(x, lo, hi, out=None):
 
 
 def _p_axis(lo, hi, fr, extra, zero):
-    """(n, P, 1) P axis: ``lo + fr * (hi - lo)``, a 0 if ``zero``, then ``extra``."""
+    """(n, P, 1) P axis: ``lo + fr * (hi - lo)``, a 0 if ``zero``, then ``extra``.
+
+    ``extra`` is (k,), shared by every state, or (n, k), one row per state;
+    so is :func:`_q_axis`'s.
+    """
     zeros = [np.zeros((len(lo), 1, 1))] if zero else []
     samples = lo + fr[:, None] * (hi - lo)
-    return np.concatenate([samples, *zeros, _clip(extra[:, None], lo, hi)], axis=1)
+    return np.concatenate([samples, *zeros, _clip(extra[..., None], lo, hi)], axis=1)
 
 
 def _q_axis(scale, samples, extra, lo, hi):
     """(n, P, Q) Q axis: ``scale * samples``, then ``extra`` clipped to [lo, hi]."""
-    out = np.empty(scale.shape[:2] + (len(samples) + len(extra),))
+    out = np.empty(scale.shape[:2] + (len(samples) + extra.shape[-1],))
     np.multiply(scale, samples, out=out[:, :, : len(samples)])
-    _clip(extra, lo, hi, out=out[:, :, len(samples) :])
+    _clip(extra[..., None, :], lo, hi, out=out[:, :, len(samples) :])
     return out
 
 
@@ -328,26 +341,36 @@ def _stage(env, t, s, n_act, extra_a, extra_e):
     left at ``t`` is empty, every draw of an action equals its floor
     ``e_lo``, a signed zero, so the draw axis is that one column and the
     block is (n, P, 1).  A giver's offers run along P and its charges along Q.
+
+    ``t`` may also be an array of one interval per state, all of one
+    layout: one role and, for takers, a pool empty at all of them or at
+    none.  The extras are then one row per state, (n, k), and each row is
+    priced bit for bit as a call for its own interval prices it.
     """
-    d = float(env.d[t])
+    if isinstance(t, np.ndarray):
+        t = t[:, None, None]  # each interval's numbers become (n, 1, 1) columns
+    first = _first(t)
+    d = env.d[t]
     s = s[:, None, None]
     phi_p = _phi_plus_vec(env, s)
     fr, back = _fractions(n_act)
-    if env.taker[t]:
+    if env.taker[first]:
         a = _p_axis(*_taker_action_range(env, s, d, phi_p), fr, extra_a, True)
-        pool = float(env.pool_avail[t])
-        e_lo = _taker_draw_floor(d, a, pool)
-        e = _q_axis(e_lo, back, extra_e, e_lo, 0.0) if pool > 0.0 else e_lo
+        e_lo = _taker_draw_floor(d, a, env.pool_avail[t])
+        if env.pool_avail[first] > 0.0:
+            e = _q_axis(e_lo, back, extra_e, e_lo, 0.0)
+        else:
+            e = e_lo
         loads = d + a + e
     else:
-        e_range = _giver_offer_range(env, s, d, phi_p, float(env.min_offer[t]))
+        e_range = _giver_offer_range(env, s, d, phi_p, env.min_offer[t])
         e = _p_axis(*e_range, fr, extra_e, False)
         a_cap = _giver_charge_cap(env, s, d, phi_p, e)
         a = loads = _q_axis(a_cap, fr, extra_a, 0.0, a_cap)
     # loads * price in place, for speed; finite within the scenario's bounds.  The
     # gap is loads + (l_others - g), not billing.unit_price's (loads + l_others) - g,
     # so a bill may differ in the last bit: _respond judges by billing.daily_bill
-    cost = loads + (float(env.l_others[t]) - float(env.g[t]))
+    cost = loads + (env.l_others[t] - env.g[t])
     cost *= cost
     cost += env.p0
     cost *= loads
@@ -380,7 +403,36 @@ def _terminal_values(env: _Env, grid: np.ndarray) -> np.ndarray:
     return v
 
 
-def _dp(env, grids, n_act, extras_a, extras_e):
+def _runs(env, grids, n_act, k_a, k_e):
+    """The backward pass's intervals, T - 1 down to 1, grouped per stage call.
+
+    A group is one interval, or a run of consecutive empty-pool taker
+    intervals, whose blocks are one draw column, as long as the run's block
+    holds no more cells than the pass's largest one-interval block, so a
+    run never raises the pass's peak memory.  ``k_a`` and ``k_e`` count
+    each interval's extras.
+    """
+    one_col = env.taker & ~(env.pool_avail > 0.0)
+    # P * Q cells per state, as _stage lays out each interval's block
+    per_state = np.where(
+        env.taker,
+        (n_act + 1 + k_a) * np.where(one_col, 1, n_act + k_e),
+        (n_act + k_e) * (n_act + k_a),
+    )
+    cells = [0] + [len(g) * int(c) for g, c in zip(grids[1:-1], per_state[1:])]
+    cap = max(cells)
+    runs = []
+    for t in range(env.horizon - 1, 0, -1):
+        if runs and one_col[t] and one_col[t + 1] and held + cells[t] <= cap:
+            runs[-1].append(t)
+            held += cells[t]
+        else:
+            runs.append([t])
+            held = cells[t]
+    return runs
+
+
+def _dp(env, grids, n_act, extras_a, extras_e, path=None):
     """Backward pass over the SOC grids, then a rollout from the exact s0.
 
     Returns the rolled-out (a, e) and its SOC path, bit for bit the one
@@ -399,7 +451,15 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     once per action and the value is added to every draw of that action.
     The block minimum equals the minimum over each action's cheapest draw,
     bit for bit, since rounding is monotone: min_e fl(c_e + v) ==
-    fl(min_e c_e + v), also when v is inf.
+    fl(min_e c_e + v), also when v is inf.  A run of empty-pool taker
+    intervals (see :func:`_runs`) is priced in one call, with one interval
+    per state, then looked up and reduced interval by interval.
+
+    ``path`` is the incumbent's SOC path, or None.  Where ``path[t]`` is a
+    node of grid t, as every center of :func:`_local_grids` is, the
+    backward pass keeps a copy of that node's row of the block: a, e, cost
+    plus value, and nxt.  A rollout step from that node, bit for bit, reads
+    the kept row instead of pricing its one state again.
     """
     horizon = env.horizon
     grids = [
@@ -407,31 +467,55 @@ def _dp(env, grids, n_act, extras_a, extras_e):
     ]
     values = [None] * (horizon + 1)
     values[horizon] = _terminal_values(env, grids[horizon])
-    for t in range(horizon - 1, 0, -1):
+    kept = [None] * horizon  # (node, a, e, total, nxt) of the row at path[t]
+    for run in _runs(env, grids, n_act, extras_a.shape[1], extras_e.shape[1]):
+        sizes = [len(grids[t]) for t in run]
+        if len(run) == 1:
+            rows, states = run[0], grids[run[0]]
+        else:
+            rows = np.repeat(run, sizes)
+            states = np.concatenate([grids[t] for t in run])
         # a stage's arrays stay bound until the next stage has built its own:
         # freed at once, they let malloc trim the heap, and regrowing it took
-        # the flagship's solves from start seeds 0-4 from 1.56M to 2.07M
-        # minor page faults in all (seed 0 alone went from 99k to 68k)
-        a, e, cost, nxt = _stage(env, t, grids[t], n_act, extras_a[t], extras_e[t])
-        cost += np.interp(nxt, grids[t + 1], values[t + 1])
-        values[t] = cost.reshape(len(cost), -1).min(axis=1)
+        # the flagship's solves from start seeds 0-4 from 1.01M to 1.57M
+        # minor page faults in all (ru_minflt of one child process per solve;
+        # seed 0 alone went from 69k to 63k)
+        extras = extras_a[rows], extras_e[rows]
+        a, e, cost, nxt = _stage(env, rows, states, n_act, *extras)
+        end = 0
+        for t, n in zip(run, sizes):
+            start, end = end, end + n
+            total = cost[start:end]
+            total += np.interp(nxt[start:end], grids[t + 1], values[t + 1])
+            values[t] = total.reshape(n, -1).min(axis=1)
+            if path is not None:
+                i = np.searchsorted(grids[t], path[t])
+                if i < n and grids[t][i] == path[t]:
+                    row = (x[start + i].copy() for x in (a, e, cost, nxt))
+                    kept[t] = (float(grids[t][i]), *row)
 
     a_out = np.zeros(horizon)
     e_out = np.zeros(horizon)
     soc_out = np.zeros(horizon + 1)
     s = soc_out[0] = env.s0
     for t in range(horizon):
-        a, e, cost, nxt = _stage(env, t, np.array([s]), n_act, extras_a[t], extras_e[t])
-        cost += np.interp(nxt, grids[t + 1], values[t + 1])
-        total = cost.ravel()  # action-major for takers, offer-major for givers
-        if not np.isfinite(total).any():  # every candidate strands the floor
+        row = kept[t]
+        if row and row[0] == s and math.copysign(1, s) == math.copysign(1, row[0]):
+            a, e, total, nxt = row[1:]
+        else:
+            block = _stage(env, t, np.array([s]), n_act, extras_a[t], extras_e[t])
+            a, e, total, nxt = (x[0] for x in block)
+            total += np.interp(nxt, grids[t + 1], values[t + 1])
+        least = total.min()
+        if least == np.inf:  # every candidate strands the floor
             raise InfeasibleConfigError(
                 "terminal_soc_min %g unreachable from SOC %g at t=%d"
                 % (env.terminal_min, s, t)
             )
-        # deterministic tie-breaking over the pairs at the least cost: |a|, |e|, SOC
-        ties = np.flatnonzero(total == total.min())
-        a, e, nxt = (np.broadcast_to(x, cost.shape).ravel()[ties] for x in (a, e, nxt))
+        # deterministic tie-breaking over the pairs at the least cost: |a|, |e|,
+        # SOC; pair (p, q) of a block reads column q % 1 = 0 of a (P, 1) array
+        p, q = np.divmod(np.flatnonzero(total == least), total.shape[1])
+        a, e, nxt = (x[p, q % x.shape[1]] for x in (a, e, nxt))
         best = np.lexsort((nxt, np.abs(e), np.abs(a)))[0]
         a_out[t] = a[best]
         e_out[t] = e[best]
@@ -467,7 +551,8 @@ def _local_grids(env: _Env, soc_traj: np.ndarray, n: int, sigma: float):
 
     Grid t holds ``n`` points within ``sigma`` of ``soc_traj[t]``, clipped,
     plus uniform anchors and the center.  One ``np.linspace`` call lays out
-    every interval's points, each row as the scalar call would.
+    every interval's points, each row as the scalar call would, and one
+    row-wise sort dedupes every grid, as ``np.unique`` on each row would.
     """
     # locality buys more precision than raw grid size, so cap the count
     n = min(n, _LOCAL_POINTS)
@@ -475,9 +560,14 @@ def _local_grids(env: _Env, soc_traj: np.ndarray, n: int, sigma: float):
     centers = soc_traj[1:]
     local = np.linspace(centers - sigma, centers + sigma, n, axis=1)
     np.clip(local, env.s_min, env.s_max, out=local)
-    return [None] + [
-        np.unique(np.concatenate([row, anchors, [c]])) for row, c in zip(local, centers)
-    ]
+    shared = np.broadcast_to(anchors, (len(centers), len(anchors)))
+    points = np.concatenate([local, shared, centers[:, None]], axis=1)
+    # np.unique row by row: the same sort on each row, then the first of
+    # each run of equal points
+    points.sort(axis=1)
+    fresh = np.ones(points.shape, dtype=bool)
+    np.not_equal(points[:, 1:], points[:, :-1], out=fresh[:, 1:])
+    return [None] + [row[keep] for row, keep in zip(points, fresh)]
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +610,7 @@ def _respond(scenario, A, E, m, config):
             grids = _local_grids(env, best_soc, config.soc_grid, sigma)
             offsets = sigma * np.linspace(-1.0, 1.0, _OFFSETS)
         extras = best_a[:, None] + offsets, best_e[:, None] + offsets
-        a, e, soc = _dp(env, grids, n_act, *extras)
+        a, e, soc = _dp(env, grids, n_act, *extras, best_soc)
         new_bill = bill(a, e)
         if new_bill < best_bill - 1e-15:
             gain = best_bill - new_bill

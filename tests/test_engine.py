@@ -721,12 +721,33 @@ def flat_dp(env, grids, n_act, extras_a, extras_e, stage=_stage):
     return a_out, e_out, values
 
 
+def counted_dp(monkeypatch, env, grids, n_act, extras_a, extras_e, path):
+    """:func:`_dp` on the incumbent ``path``, and how often it reused work.
+
+    Returns its (a, e, soc), the rollout steps that read a kept row (those
+    that priced no state of their own) and the multi-interval run calls.
+    """
+    calls = []
+    stage = engine._stage
+
+    def spy(env, t, s, *rest):
+        calls.append((isinstance(t, np.ndarray), len(s)))
+        return stage(env, t, s, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_stage", spy)
+        out = _dp(env, grids, n_act, extras_a, extras_e, path)
+    steps = sum(not run and n == 1 for run, n in calls)
+    return out, env.horizon - steps, sum(run for run, _ in calls)
+
+
 class TestStageReduction:
-    def test_dp_matches_flat_reference_bit_for_bit(self):
+    def test_dp_matches_flat_reference_bit_for_bit(self, monkeypatch):
         # taker stages minimize the draw before the SOC step and the lookup;
-        # the rolled-out schedule must equal the all-pairs reference exactly
+        # the rolled-out schedule must equal the all-pairs reference exactly,
+        # also where the rollout reads a kept row or a run priced the stage
         rng = np.random.default_rng(2024)
-        seen = {"taker": 0, "giver": 0, "inf": 0, "local": 0}
+        seen = {"taker": 0, "giver": 0, "inf": 0, "local": 0, "kept": 0, "run": 0}
         for case in range(48):
             M, T = int(rng.integers(2, 4)), int(rng.integers(4, 11))
             scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
@@ -740,22 +761,29 @@ class TestStageReduction:
             n_act = int(rng.integers(3, 10))
             n_grid = int(rng.integers(6, 48))
             sigma = rng.uniform(0.05, 0.5) * (env.s_max - env.s_min)
+            uniform = [_uniform_grid(env, n_grid)] * (T + 1)
+            a, e, traj = A[m], E[m], _soc_trajectory(env, A[m], E[m])
             if case % 3 == 0:
-                grids = [_uniform_grid(env, n_grid)] * (T + 1)
+                grids = uniform
             else:
-                traj = _soc_trajectory(env, A[m], E[m])
+                # a refinement round around the schedule a uniform round found
+                a, e, traj = _dp(env, uniform, n_act, a[:, None], e[:, None])
                 grids = _local_grids(env, traj, n_grid, sigma)
                 seen["local"] += 1
             offsets = sigma * np.linspace(-1.0, 1.0, int(rng.integers(1, 8)))
-            extras_a = A[m][:, None] + offsets
-            extras_e = E[m][:, None] + offsets
+            extras_a = a[:, None] + offsets
+            extras_e = e[:, None] + offsets
             ref_a, ref_e, values = flat_dp(env, grids, n_act, extras_a, extras_e)
-            a, e, soc = _dp(env, grids, n_act, extras_a, extras_e)
+            (a, e, soc), kept, runs = counted_dp(
+                monkeypatch, env, grids, n_act, extras_a, extras_e, traj
+            )
             assert np.array_equal(a, ref_a) and np.array_equal(e, ref_e), case
             assert soc.tobytes() == _soc_trajectory(env, a, e).tobytes(), case
             seen["taker"] += int(env.taker.sum())
             seen["giver"] += int((~env.taker).sum())
             seen["inf"] += int(any(np.isinf(v).any() for v in values[1:]))
+            seen["kept"] += kept
+            seen["run"] += runs
         assert min(seen.values()) > 0, seen
 
 
@@ -781,12 +809,13 @@ def lattice_stage(env, t, s, n_act, extra_a, extra_e):
 
 
 class TestEmptyPool:
-    def test_one_draw_column_matches_the_full_lattice_bit_for_bit(self):
+    def test_one_draw_column_matches_the_full_lattice_bit_for_bit(self, monkeypatch):
         # an empty pool leaves every draw at e_lo, a signed zero, so _stage
         # lays out that one column; the rolled-out schedule must keep the
-        # full lattice's bits, -0.0 draws included
+        # full lattice's bits, -0.0 draws included, also where a run of such
+        # intervals is priced in one call or the rollout reads a kept row
         rng = np.random.default_rng(18)
-        seen = {"empty": 0, "negative_zero": 0, "rounds": 0}
+        seen = {"empty": 0, "negative_zero": 0, "rounds": 0, "kept": 0, "run": 0}
         for case in range(40):
             M, T = int(rng.integers(2, 5)), int(rng.integers(4, 13))
             scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
@@ -798,26 +827,33 @@ class TestEmptyPool:
             env = _Env(scenario, A, E, m, None)
             n_act = int(rng.integers(3, 10))
             sigma = rng.uniform(0.05, 0.5) * (env.s_max - env.s_min)
+            uniform = [_uniform_grid(env, int(rng.integers(6, 48)))] * (T + 1)
+            a, e, traj = A[m], E[m], _soc_trajectory(env, A[m], E[m])
             if case % 2:
-                grids = [_uniform_grid(env, int(rng.integers(6, 48)))] * (T + 1)
+                grids = uniform
                 offsets = np.zeros(1)
             else:
-                traj = _soc_trajectory(env, A[m], E[m])
+                # a refinement round around the schedule a uniform round found
+                a, e, traj = _dp(env, uniform, n_act, a[:, None], e[:, None])
                 grids = _local_grids(env, traj, int(rng.integers(6, 48)), sigma)
                 offsets = sigma * np.linspace(-1.0, 1.0, int(rng.integers(1, 8)))
                 seen["rounds"] += 1
-            extras_a = A[m][:, None] + offsets
-            extras_e = E[m][:, None] + offsets
+            extras_a = a[:, None] + offsets
+            extras_e = e[:, None] + offsets
             ref_a, ref_e, _ = flat_dp(
                 env, grids, n_act, extras_a, extras_e, stage=lattice_stage
             )
-            a, e, soc = _dp(env, grids, n_act, extras_a, extras_e)
+            (a, e, soc), kept, runs = counted_dp(
+                monkeypatch, env, grids, n_act, extras_a, extras_e, traj
+            )
             assert a.tobytes() == ref_a.tobytes(), case
             assert e.tobytes() == ref_e.tobytes(), case
             assert soc.tobytes() == _soc_trajectory(env, a, e).tobytes(), case
             empty = env.taker & ~(env.pool_avail > 0.0)
             seen["empty"] += int(empty.sum())
             seen["negative_zero"] += int(np.signbit(e[empty]).sum())
+            seen["kept"] += kept
+            seen["run"] += runs
         assert min(seen.values()) > 0, seen
 
 
@@ -910,6 +946,85 @@ class TestStageLayout:
                     seen["inside"] += int(inside.sum())
                     seen["outside"] += int((~inside).sum())
         assert min(seen.values()) > 0, seen
+
+
+class TestStageRuns:
+    def test_one_call_per_layout_matches_one_call_per_interval_bit_for_bit(self):
+        # _stage with one interval per state: every layout's intervals in one
+        # call must price each row as that interval's own call does
+        rng = np.random.default_rng(29)
+        seen = {"empty": 0, "taker": 0, "giver": 0, "lone": 0}
+        for case in range(30):
+            M, T = int(rng.integers(1, 5)), int(rng.integers(3, 13))
+            scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
+            A, E = initial_state(scenario, GameConfig(seed=case))
+            quiet = rng.random(T) < 0.4  # nobody offers here: the pool is empty
+            E[:, quiet] = np.minimum(E[:, quiet], 0.0)
+            m = int(rng.integers(0, M))
+            env = _Env(scenario, A, E, m, None)
+            n_act = int(rng.integers(2, 8))
+            spread = 2.0 * (env.s_max - env.s_min)
+            k_a, k_e = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+            extras_a = rng.uniform(-spread, spread, (T, k_a + 2))
+            extras_e = rng.uniform(-spread, spread, (T, k_e + 2))
+            extras_a[:, -2:] = extras_e[:, -2:] = [0.0, -0.0]
+            states = [
+                np.concatenate(
+                    [[env.s_min, env.s_max], rng.uniform(env.s_min, env.s_max, n)]
+                )
+                for n in rng.integers(0, 9, T)
+            ]
+            empty = env.taker & ~(env.pool_avail > 0.0)
+            layouts = {"empty": empty, "taker": env.taker & ~empty, "giver": ~env.taker}
+            for kind, where in layouts.items():
+                run = np.flatnonzero(where)
+                if not len(run):
+                    continue
+                seen[kind] += len(run)
+                seen["lone"] += M == 1 and kind == "empty" and len(run) > 1
+                rows = np.repeat(run, [len(states[t]) for t in run])
+                s = np.concatenate([states[t] for t in run])
+                got = _stage(env, rows, s, n_act, extras_a[rows], extras_e[rows])
+                each = [
+                    _stage(env, t, states[t], n_act, extras_a[t], extras_e[t])
+                    for t in run
+                ]
+                for i, name in enumerate(("a", "e", "cost", "nxt")):
+                    block = np.broadcast_to(got[i], got[2].shape)
+                    ref = np.concatenate(
+                        [np.broadcast_to(x[i], x[2].shape) for x in each]
+                    )
+                    assert block.tobytes() == ref.tobytes(), (case, kind, name)
+                    assert np.array_equal(np.signbit(block), np.signbit(ref))
+        assert min(seen.values()) > 0, seen
+
+    def test_no_run_block_outgrows_the_largest_interval_block(self, monkeypatch):
+        # a run of empty-pool intervals is priced in one block only while it
+        # holds no more cells than the largest one-interval block of its DP
+        dps = []
+        stage, dp = engine._stage, engine._dp
+
+        def stage_spy(env, t, s, *rest):
+            out = stage(env, t, s, *rest)
+            dps[-1].append((isinstance(t, np.ndarray), out[2].size))
+            return out
+
+        def dp_spy(*args):
+            dps.append([])
+            return dp(*args)
+
+        monkeypatch.setattr(engine, "_stage", stage_spy)
+        monkeypatch.setattr(engine, "_dp", dp_spy)
+        for M, seed in ((1, 7), (2, 3)):
+            scenario = synth_scenario(M, 24, seed=seed)
+            A, E = initial_state(scenario, GameConfig(seed=seed))
+            _respond(scenario, A, E, M - 1, GameConfig(soc_grid=400))
+        runs = 0
+        for calls in dps:
+            largest = max(cells for run, cells in calls if not run)
+            assert all(cells <= largest for run, cells in calls if run), calls
+            runs += sum(run for run, _ in calls)
+        assert runs > 0
 
 
 class TestValueLookup:
