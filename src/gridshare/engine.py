@@ -14,7 +14,11 @@ along Q, a giver's offers along P and its grid charges along Q.  A draw
 moves the load but not the SOC, so a taker's SOC step and value lookup
 run once per (state, action); where the pool is empty every draw equals
 its floor, so the draw axis is that one column, and a run of such
-intervals is priced in one kernel call, one interval per state.  The
+intervals is priced in one kernel call, one interval per state.  A
+one-interval block of more than one state prices each distinct extra once:
+an axis leaves out an extra that every row clips onto a value an earlier
+column holds.  That column has the same cost, SOC step and tie keys, so
+the block minimum and the rollout's pick keep every bit.  The
 backward pass keeps the block's row at the incumbent's SOC, a node of every
 refinement grid; a rollout step from that node reads the row, and any other
 step prices its one state.  The rollout breaks ties only among the pairs at
@@ -315,15 +319,35 @@ def _p_axis(lo, hi, fr, extra, zero):
     """(n, P, 1) P axis: ``lo + fr * (hi - lo)``, a 0 if ``zero``, then ``extra``.
 
     ``extra`` is (k,), shared by every state, or (n, k), one row per state;
-    so is :func:`_q_axis`'s.
+    so is :func:`_q_axis`'s.  Over more than one state, a shared extra is
+    left out where every row clips it onto a value an earlier column holds:
+    at or below every row's ``lo``, which sample 0 holds, or at or above
+    every row's ``hi`` after the first such extra, since the top sample
+    ``lo + 1 * (hi - lo)`` may miss ``hi`` by an ulp.  The rest keep their
+    order.  One state, or one extra row per state, lays out every extra:
+    there the filter cost more time than it saved.
     """
+    if extra.ndim == 1 and len(lo) > 1:
+        keep = extra > lo.min()
+        keep[np.flatnonzero(extra >= hi.max())[1:]] = False
+        extra = extra[keep]
     zeros = [np.zeros((len(lo), 1, 1))] if zero else []
     samples = lo + fr[:, None] * (hi - lo)
     return np.concatenate([samples, *zeros, _clip(extra[..., None], lo, hi)], axis=1)
 
 
 def _q_axis(scale, samples, extra, lo, hi):
-    """(n, P, Q) Q axis: ``scale * samples``, then ``extra`` clipped to [lo, hi]."""
+    """(n, P, Q) Q axis: ``scale * samples``, then ``extra`` clipped to [lo, hi].
+
+    ``samples`` run from one end of [lo, hi] to the other: a draw's
+    ``e_lo * (1 - fr)`` from ``e_lo`` to a signed zero, a charge's
+    ``a_cap * fr`` from a zero to ``a_cap``.  So, over more than one state
+    as on :func:`_p_axis`, a shared extra at or below every row's ``lo`` or
+    at or above every row's ``hi`` repeats an end sample in value and is
+    left out.
+    """
+    if extra.ndim == 1 and len(scale) > 1:
+        extra = extra[(extra > np.asarray(lo).min()) & (extra < np.asarray(hi).max())]
     out = np.empty(scale.shape[:2] + (len(samples) + extra.shape[-1],))
     np.multiply(scale, samples, out=out[:, :, : len(samples)])
     _clip(extra[..., None, :], lo, hi, out=out[:, :, len(samples) :])
@@ -345,7 +369,16 @@ def _stage(env, t, s, n_act, extra_a, extra_e):
     ``t`` may also be an array of one interval per state, all of one
     layout: one role and, for takers, a pool empty at all of them or at
     none.  The extras are then one row per state, (n, k), and each row is
-    priced bit for bit as a call for its own interval prices it.
+    priced bit for bit as a call for its own interval prices it, with every
+    extra laid out.
+
+    A call for one interval and more than one state leaves out the extras
+    that every row clips onto a column it already holds (see :func:`_p_axis`
+    and :func:`_q_axis`).  A left-out column equals its earlier twin in
+    value, row by row, and so does everything priced from it: draw floor,
+    charge cap, load, cost and next SOC.  The block minimum is the same, and
+    the rollout's stable tie rule picks the earlier twin, so every schedule
+    keeps its bits.
     """
     if isinstance(t, np.ndarray):
         t = t[:, None, None]  # each interval's numbers become (n, 1, 1) columns
@@ -408,8 +441,10 @@ def _runs(env, grids, n_act, k_a, k_e):
 
     A group is one interval, or a run of consecutive empty-pool taker
     intervals, whose blocks are one draw column, as long as the run's block
-    holds no more cells than the pass's largest one-interval block, so a
-    run never raises the pass's peak memory.  ``k_a`` and ``k_e`` count
+    holds no more cells than the pass's largest one-interval block with
+    every extra laid out.  A one-interval block may leave extras out, but a
+    run lays out all of them, so that bound keeps a run within the peak
+    memory of a pass that lays out every extra.  ``k_a`` and ``k_e`` count
     each interval's extras.
     """
     one_col = env.taker & ~(env.pool_avail > 0.0)
@@ -439,8 +474,9 @@ def _dp(env, grids, n_act, extras_a, extras_e, path=None):
     :func:`_soc_trajectory` replays.
 
     Interval t's candidates are the region samples plus ``extras_a[t]`` and
-    ``extras_e[t]``; a successor SOC takes the value interpolated linearly
-    between its two neighbouring cells (a cell's own value on a cell).
+    ``extras_e[t]``, each distinct one once (see :func:`_stage`); a
+    successor SOC takes the value interpolated linearly between its two
+    neighbouring cells (a cell's own value on a cell).
     A validated scenario's costs are finite (see ``battery.MAX_MAGNITUDE``),
     so only a cell below ``terminal_soc_min`` is inf.  Next to one that value
     is inf, never NaN; under a floor each grid also holds its interval's
@@ -475,11 +511,12 @@ def _dp(env, grids, n_act, extras_a, extras_e, path=None):
         else:
             rows = np.repeat(run, sizes)
             states = np.concatenate([grids[t] for t in run])
-        # a stage's arrays stay bound until the next stage has built its own:
-        # freed at once, they let malloc trim the heap, and regrowing it took
-        # the flagship's solves from start seeds 0-4 from 1.01M to 1.57M
-        # minor page faults in all (ru_minflt of one child process per solve;
-        # seed 0 alone went from 69k to 63k)
+        # a stage's arrays stay bound until the next stage has built its own.
+        # With every extra laid out, that spared malloc a heap trim and regrow
+        # (1.01M minor page faults against 1.57M freed at once); with each
+        # distinct extra priced once it is a wash: 0.55M bound, 0.51M freed
+        # at once (the flagship's start seeds 0-4 in all, ru_minflt of one
+        # child process per solve, medians of 3)
         extras = extras_a[rows], extras_e[rows]
         a, e, cost, nxt = _stage(env, rows, states, n_act, *extras)
         end = 0
@@ -513,10 +550,11 @@ def _dp(env, grids, n_act, extras_a, extras_e, path=None):
                 % (env.terminal_min, s, t)
             )
         # deterministic tie-breaking over the pairs at the least cost: |a|, |e|,
-        # SOC; pair (p, q) of a block reads column q % 1 = 0 of a (P, 1) array
+        # SOC, sorted only when more than one pair attains it; pair (p, q) of a
+        # block reads column q % 1 = 0 of a (P, 1) array
         p, q = np.divmod(np.flatnonzero(total == least), total.shape[1])
         a, e, nxt = (x[p, q % x.shape[1]] for x in (a, e, nxt))
-        best = np.lexsort((nxt, np.abs(e), np.abs(a)))[0]
+        best = np.lexsort((nxt, np.abs(e), np.abs(a)))[0] if len(p) > 1 else 0
         a_out[t] = a[best]
         e_out[t] = e[best]
         s = soc_out[t + 1] = float(nxt[best])

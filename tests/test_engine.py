@@ -861,52 +861,101 @@ def clipped(x, lo, hi):
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def looped_layout(env, t, states, n_act, extra_a, extra_e):
+def laid_out(extra, lows, highs, top_once):
+    """Which extras an axis of a block of more than one state lays out.
+
+    It leaves out an extra at or below every row's low end, where sample 0
+    holds the low end, and one at or above every row's high end: on a Q axis,
+    whose last sample is that end, all of them; on a P axis each one after
+    the first, since the top sample may miss the end by an ulp.
+    """
+    keep, tops = [], 0
+    for x in extra:
+        top = all(x >= hi for hi in highs)
+        tops += top
+        low = all(x <= lo for lo in lows)
+        keep.append(not low and not (top and (tops > 1 or not top_once)))
+    return np.array(keep, dtype=bool)
+
+
+def looped_layout(env, t, states, n_act, extra_a, extra_e, every=False):
     """:func:`_stage`'s (a, e) blocks, laid out one state and one entry at a time.
 
     Each state's ranges come from the region helpers; the samples of a range
     are ``_fractions``'s, and each extra is clipped into the range it joins.
+    Over more than one state, an axis lays out the extras :func:`laid_out`
+    keeps by the rows' own ranges; with ``every``, every extra.  Returns the
+    blocks and the (action, draw-or-offer) keep masks over the extras.
     """
     fr, back = _fractions(n_act)
     d = float(env.d[t])
     pool = float(env.pool_avail[t])
-    a_rows, e_rows = [], []
-    for s in states:
-        phi_p = _phi_plus_vec(env, s)
-        if env.taker[t]:
-            lo, hi = _taker_action_range(env, s, d, phi_p)
-            acts = [lo + f * (hi - lo) for f in fr] + [0.0]
-            acts += [clipped(x, lo, hi) for x in extra_a]
-            draws = []
-            for a in acts:
-                e_lo = _taker_draw_floor(d, a, pool)
-                row = [e_lo]
-                if pool > 0.0:
-                    row = [e_lo * b for b in back]
-                    row += [clipped(x, e_lo, 0.0) for x in extra_e]
-                draws.append(row)
-            a_rows.append([[a] for a in acts])
-            e_rows.append(draws)
-        else:
-            lo, hi = _giver_offer_range(env, s, d, phi_p, float(env.min_offer[t]))
-            offers = [lo + f * (hi - lo) for f in fr]
-            offers += [clipped(x, lo, hi) for x in extra_e]
-            charges = []
-            for e in offers:
-                cap = _giver_charge_cap(env, s, d, phi_p, e)
-                row = [cap * f for f in fr] + [clipped(x, 0.0, cap) for x in extra_a]
-                charges.append(row)
-            a_rows.append(charges)
-            e_rows.append([[e] for e in offers])
-    return np.array(a_rows, dtype=float), np.array(e_rows, dtype=float)
+    phi = [_phi_plus_vec(env, s) for s in states]
+
+    def keep(extra, lows, highs, top_once):
+        if every or len(states) == 1:
+            return np.ones(len(extra), dtype=bool)
+        return laid_out(extra, lows, highs, top_once)
+
+    def clip(extra, lo, hi):
+        return [clipped(x, lo, hi) for x in extra]
+
+    def axis(lo, hi, extra, zero=()):
+        return [lo + f * (hi - lo) for f in fr] + list(zero) + clip(extra, lo, hi)
+
+    if env.taker[t]:
+        ranges = [_taker_action_range(env, s, d, p) for s, p in zip(states, phi)]
+        keep_a = keep(extra_a, *zip(*ranges), True)
+        acts = [axis(lo, hi, extra_a[keep_a], [0.0]) for lo, hi in ranges]
+        floors = [[_taker_draw_floor(d, a, pool) for a in row] for row in acts]
+        keep_e = keep(extra_e, [e for row in floors for e in row], [0.0], False)
+        draws = [[[e_lo] for e_lo in row] for row in floors]
+        if pool > 0.0:
+            kept_e = extra_e[keep_e]
+            draws = [
+                [[e_lo * b for b in back] + clip(kept_e, e_lo, 0.0) for e_lo in row]
+                for row in floors
+            ]
+        a_block, e_block = [[[a] for a in row] for row in acts], draws
+    else:
+        min_offer = float(env.min_offer[t])
+        ranges = [
+            _giver_offer_range(env, s, d, p, min_offer) for s, p in zip(states, phi)
+        ]
+        keep_e = keep(extra_e, *zip(*ranges), True)
+        offers = [axis(lo, hi, extra_e[keep_e]) for lo, hi in ranges]
+        caps = [
+            [_giver_charge_cap(env, s, d, p, e) for e in row]
+            for s, p, row in zip(states, phi, offers)
+        ]
+        keep_a = keep(extra_a, [0.0], [c for row in caps for c in row], False)
+        a_block = [
+            [[cap * f for f in fr] + clip(extra_a[keep_a], 0.0, cap) for cap in row]
+            for row in caps
+        ]
+        e_block = [[[e] for e in row] for row in offers]
+    blocks = np.array(a_block, dtype=float), np.array(e_block, dtype=float)
+    return (*blocks, (keep_a, keep_e))
+
+
+def axis_columns(env, t, n_act, keep_a, keep_e):
+    """P and Q masks over an every-extra block: the columns a block keeping
+    the extras ``keep_a`` and ``keep_e`` lays out."""
+    samples = np.ones(n_act, dtype=bool)
+    if not env.taker[t]:
+        return np.r_[samples, keep_e], np.r_[samples, keep_a]
+    q = np.r_[samples, keep_e] if env.pool_avail[t] > 0.0 else np.ones(1, dtype=bool)
+    return np.r_[samples, True, keep_a], q
 
 
 class TestStageLayout:
     def test_blocks_match_a_per_state_loop_bit_for_bit(self):
         # the layout of every decision axis, checked against scalar loops over
-        # the region helpers rather than against _stage's own blocks
+        # the region helpers rather than against _stage's own blocks; every
+        # extra an axis leaves out equals, in every row, a column it keeps
         rng = np.random.default_rng(27)
         seen = {"taker": 0, "empty": 0, "giver": 0, "inside": 0, "outside": 0}
+        seen.update(left_out_p=0, left_out_q=0)
         for case in range(30):
             M, T = int(rng.integers(2, 5)), int(rng.integers(3, 9))
             scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
@@ -925,7 +974,9 @@ class TestStageLayout:
                 extra_a = np.concatenate([rng.uniform(-spread, spread, 4), [0.0, -0.0]])
                 extra_e = np.concatenate([rng.uniform(-spread, spread, 4), [-0.0, 0.0]])
                 a, e, _, _ = _stage(env, t, states, n_act, extra_a, extra_e)
-                ref_a, ref_e = looped_layout(env, t, states, n_act, extra_a, extra_e)
+                ref_a, ref_e, (keep_a, keep_e) = looped_layout(
+                    env, t, states, n_act, extra_a, extra_e
+                )
                 for got, ref in ((a, ref_a), (e, ref_e)):
                     assert got.shape == ref.shape, (case, t)
                     assert got.tobytes() == ref.tobytes(), (case, t)
@@ -934,14 +985,28 @@ class TestStageLayout:
                 if env.taker[t]:
                     kind = "taker" if env.pool_avail[t] > 0.0 else "empty"
                 seen[kind] += 1
+                # each column the layout leaves out repeats, in value, an earlier
+                # column it keeps, in every row and with every entry of that row
+                full_a, full_e, _ = looped_layout(
+                    env, t, states, n_act, extra_a, extra_e, every=True
+                )
+                on_p, on_q = axis_columns(env, t, n_act, keep_a, keep_e)
+                by_p = np.concatenate([full_a, full_e], axis=2).transpose(1, 0, 2)
+                by_q = (full_e if env.taker[t] else full_a).transpose(2, 0, 1)
+                for cols, on, name in ((by_p, on_p, "p"), (by_q, on_q, "q")):
+                    for c in np.flatnonzero(~on):
+                        kept = np.flatnonzero(on[:c])
+                        twin = any((cols[j] == cols[c]).all() for j in kept)
+                        assert twin, (case, t, name, c)
+                        seen["left_out_" + name] += 1
                 # an extra lay inside its range where clipping left it as it was
-                axes = [(a, extra_a), (e, extra_e)]
+                axes = [(a, extra_a[keep_a]), (e, extra_e[keep_e])]
                 if kind == "giver":
                     axes.reverse()  # offers run along P, charges along Q
                 (p, extra_p), (q, extra_q) = axes
-                kept = [p[:, -len(extra_p) :, 0] == extra_p]
+                kept = [p[:, p.shape[1] - len(extra_p) :, 0] == extra_p]
                 if kind != "empty":
-                    kept.append(q[:, :, -len(extra_q) :] == extra_q)
+                    kept.append(q[:, :, q.shape[2] - len(extra_q) :] == extra_q)
                 for inside in kept:
                     seen["inside"] += int(inside.sum())
                     seen["outside"] += int((~inside).sum())
@@ -951,7 +1016,9 @@ class TestStageLayout:
 class TestStageRuns:
     def test_one_call_per_layout_matches_one_call_per_interval_bit_for_bit(self):
         # _stage with one interval per state: every layout's intervals in one
-        # call must price each row as that interval's own call does
+        # call must price each row as that interval's own call does.  A run
+        # lays out every extra, so each row is compared on the columns its
+        # interval's own call lays out
         rng = np.random.default_rng(29)
         seen = {"empty": 0, "taker": 0, "giver": 0, "lone": 0}
         for case in range(30):
@@ -985,28 +1052,43 @@ class TestStageRuns:
                 rows = np.repeat(run, [len(states[t]) for t in run])
                 s = np.concatenate([states[t] for t in run])
                 got = _stage(env, rows, s, n_act, extras_a[rows], extras_e[rows])
-                each = [
-                    _stage(env, t, states[t], n_act, extras_a[t], extras_e[t])
-                    for t in run
-                ]
-                for i, name in enumerate(("a", "e", "cost", "nxt")):
-                    block = np.broadcast_to(got[i], got[2].shape)
-                    ref = np.concatenate(
-                        [np.broadcast_to(x[i], x[2].shape) for x in each]
+                end = 0
+                for t in run:
+                    own = _stage(env, t, states[t], n_act, extras_a[t], extras_e[t])
+                    *_, kept = looped_layout(
+                        env, t, states[t], n_act, extras_a[t], extras_e[t]
                     )
-                    assert block.tobytes() == ref.tobytes(), (case, kind, name)
-                    assert np.array_equal(np.signbit(block), np.signbit(ref))
+                    on_p, on_q = axis_columns(env, t, n_act, *kept)
+                    start, end = end, end + len(states[t])
+                    for i, name in enumerate(("a", "e", "cost", "nxt")):
+                        block = np.broadcast_to(got[i], got[2].shape)[start:end]
+                        block = block[:, on_p][:, :, on_q]
+                        ref = np.broadcast_to(own[i], own[2].shape)
+                        assert block.shape == ref.shape, (case, kind, name)
+                        assert block.tobytes() == ref.tobytes(), (case, kind, name)
+                        assert np.array_equal(np.signbit(block), np.signbit(ref))
         assert min(seen.values()) > 0, seen
 
     def test_no_run_block_outgrows_the_largest_interval_block(self, monkeypatch):
         # a run of empty-pool intervals is priced in one block only while it
         # holds no more cells than the largest one-interval block of its DP
+        # laid out with every extra, the bound _runs keeps
         dps = []
         stage, dp = engine._stage, engine._dp
 
-        def stage_spy(env, t, s, *rest):
-            out = stage(env, t, s, *rest)
-            dps[-1].append((isinstance(t, np.ndarray), out[2].size))
+        def stage_spy(env, t, s, n_act, extra_a, extra_e):
+            out = stage(env, t, s, n_act, extra_a, extra_e)
+            run = isinstance(t, np.ndarray)
+            cells = out[2].size
+            if not run:
+                k_a, k_e = len(extra_a), len(extra_e)
+                if env.taker[t]:
+                    draws = n_act + k_e if env.pool_avail[t] > 0.0 else 1
+                    cells = len(s) * (n_act + 1 + k_a) * draws
+                else:
+                    cells = len(s) * (n_act + k_e) * (n_act + k_a)
+                assert out[2].size <= cells
+            dps[-1].append((run, cells))
             return out
 
         def dp_spy(*args):
@@ -1025,6 +1107,98 @@ class TestStageRuns:
             assert all(cells <= largest for run, cells in calls if run), calls
             runs += sum(run for run, _ in calls)
         assert runs > 0
+
+
+def every_extra_stage(env, t, s, n_act, extra_a, extra_e):
+    """:func:`_stage` with every extra laid out and priced.
+
+    The blocks are :func:`looped_layout`'s with ``every``: no axis leaves an
+    extra out, whatever its rows clip it onto.
+    """
+    a, e, _ = looped_layout(env, t, s, n_act, extra_a, extra_e, every=True)
+    loads = float(env.d[t]) + a + e if env.taker[t] else a
+    gap = loads + (float(env.l_others[t]) - float(env.g[t]))
+    nxt = _transition(env, t, s[:, None, None], a, e)
+    return a, e, loads * (gap * gap + env.p0), nxt
+
+
+class TestDistinctExtras:
+    def test_dp_matches_the_every_extra_reference_bit_for_bit(self, monkeypatch):
+        # an axis leaves out the extras every row clips onto a column it
+        # already holds; the rolled-out schedule and its SOC path must equal
+        # the reference that lays out and prices every extra, bit for bit
+        rng = np.random.default_rng(30)
+        kinds = ("action", "draw", "offer", "charge")
+        seen = {k + end: 0 for k in kinds for end in ("_low", "_top")}
+        seen.update(kept=0, lone=0, floor=0, local=0)
+        p_axis, q_axis = engine._p_axis, engine._q_axis
+
+        def p_spy(lo, hi, fr, extra, zero):
+            out = p_axis(lo, hi, fr, extra, zero)
+            if extra.ndim == 1 and len(lo) > 1:
+                low = extra <= lo.min()
+                top = extra >= hi.max()
+                copy = top & (np.cumsum(top) > 1)
+                kind = "action" if zero else "offer"
+                seen[kind + "_low"] += int(low.sum())
+                seen[kind + "_top"] += int(copy.sum())
+                assert out.shape[1] == len(fr) + zero + len(extra) - (low | copy).sum()
+            return out
+
+        def q_spy(scale, samples, extra, lo, hi):
+            out = q_axis(scale, samples, extra, lo, hi)
+            if extra.ndim == 1 and len(scale) > 1:
+                low = extra <= np.min(lo)
+                top = (extra >= np.max(hi)) & ~low
+                kind = "draw" if np.ndim(hi) == 0 else "charge"
+                seen[kind + "_low"] += int(low.sum())
+                seen[kind + "_top"] += int(top.sum())
+                assert out.shape[2] == len(samples) + len(extra) - (low | top).sum()
+            return out
+
+        monkeypatch.setattr(engine, "_p_axis", p_spy)
+        monkeypatch.setattr(engine, "_q_axis", q_spy)
+        for case in range(40):
+            M, T = int(rng.integers(1, 4)), int(rng.integers(3, 9))
+            scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
+            A, E = initial_state(scenario, GameConfig(seed=case))
+            m = int(rng.integers(0, M))
+            bat = scenario.households[m].battery
+            terminal = None
+            if case % 2:
+                terminal = bat.s_min + rng.uniform(0.1, 0.7) * (bat.s_max - bat.s_min)
+                seen["floor"] += 1
+            env = _Env(scenario, A, E, m, terminal)
+            n_act = int(rng.integers(3, 8))
+            n_grid = int(rng.integers(4, 20))
+            sigma = rng.uniform(0.05, 0.5) * (env.s_max - env.s_min)
+            uniform = [_uniform_grid(env, n_grid)] * (T + 1)
+            a, e, traj = A[m], E[m], _soc_trajectory(env, A[m], E[m])
+            if case % 3:
+                # a refinement round around the schedule a uniform round found
+                a, e, traj = _dp(env, uniform, n_act, a[:, None], e[:, None])
+                grids = _local_grids(env, traj, n_grid, sigma)
+                seen["local"] += 1
+            else:
+                grids = uniform
+            # the incumbent's offsets and both signed zeros, in random order
+            offsets = sigma * np.linspace(-1.0, 1.0, int(rng.integers(1, 8)))
+            zeros = np.zeros((T, 2))
+            zeros[:, 1] = -0.0
+            extras_a = rng.permuted(np.c_[a[:, None] + offsets, zeros], axis=1)
+            extras_e = rng.permuted(np.c_[e[:, None] + offsets, zeros], axis=1)
+            ref_a, ref_e, _ = flat_dp(
+                env, grids, n_act, extras_a, extras_e, stage=every_extra_stage
+            )
+            (a, e, soc), kept, _ = counted_dp(
+                monkeypatch, env, grids, n_act, extras_a, extras_e, traj
+            )
+            assert a.tobytes() == ref_a.tobytes(), case
+            assert e.tobytes() == ref_e.tobytes(), case
+            assert soc.tobytes() == _soc_trajectory(env, ref_a, ref_e).tobytes(), case
+            seen["kept"] += kept
+            seen["lone"] += M == 1
+        assert min(seen.values()) > 0, seen
 
 
 class TestValueLookup:
