@@ -14,21 +14,20 @@ along Q, a giver's offers along P and its grid charges along Q.  A draw
 moves the load but not the SOC, so a taker's SOC step and value lookup
 run once per (state, action); where the pool is empty every draw equals
 its floor, so the draw axis is that one column, and a run of such
-intervals is priced in one kernel call, one interval per state.  A
-one-interval block of more than one state prices each distinct extra once:
-an axis leaves out an extra that every row clips onto a value an earlier
-column holds.  That column has the same cost, SOC step and tie keys, so
-the block minimum and the rollout's pick keep every bit.  The
-backward pass keeps the block's row at the incumbent's SOC, a node of every
-refinement grid; a rollout step from that node reads the row, and any other
-step prices its one state.  The rollout breaks ties only among the pairs at
-the least cost.  For tiny instances the search is exhaustive: its
-one round runs the same DP on the exact SOCs the candidate tree reaches at
-each interval, so every lookup lands on a cell and the bill equals a
-brute-force oracle's exactly.  Equal bills are split by the rollout's rule
-(cost, then |a|, |e|, SOC), not by the oracle's enumeration order.  The
-floor's one enforcer is the response's inf price for an incumbent ending
-below ``terminal_soc_min``; it also repairs a start that misses the floor.
+intervals is priced in one kernel call, one interval per state.  Each axis
+samples its range exactly from end to end, so a one-interval block of more
+than one state leaves out the extras that clip onto an end (see
+:func:`_stage`).  The backward pass keeps the block's row at the
+incumbent's SOC, a node of every refinement grid; a rollout step from that
+node reads the row, and any other step prices its one state.  The rollout
+breaks ties only among the pairs at the least cost.  For tiny instances the
+search is exhaustive: its one round runs the same DP on the exact SOCs the
+candidate tree reaches at each interval, so every lookup lands on a cell
+and the bill equals a brute-force oracle's exactly.  Equal bills are split
+by the rollout's rule (cost, then |a|, |e|, SOC), not by the oracle's
+enumeration order.  The floor's one enforcer is the response's inf price
+for an incumbent ending below ``terminal_soc_min``; it also repairs a start
+that misses the floor.
 
 The outer loop repeats one Gauss-Seidel pass: households respond in fixed
 id order, each seeing the freshest schedules of the others, and a response
@@ -318,21 +317,16 @@ def _clip(x, lo, hi, out=None):
 def _p_axis(lo, hi, fr, extra, zero):
     """(n, P, 1) P axis: ``lo + fr * (hi - lo)``, a 0 if ``zero``, then ``extra``.
 
+    The last sample is ``hi`` itself, not ``lo + 1 * (hi - lo)``, so the
+    samples span [lo, hi] exactly; each extra is clipped into it.
     ``extra`` is (k,), shared by every state, or (n, k), one row per state;
-    so is :func:`_q_axis`'s.  Over more than one state, a shared extra is
-    left out where every row clips it onto a value an earlier column holds:
-    at or below every row's ``lo``, which sample 0 holds, or at or above
-    every row's ``hi`` after the first such extra, since the top sample
-    ``lo + 1 * (hi - lo)`` may miss ``hi`` by an ulp.  The rest keep their
-    order.  One state, or one extra row per state, lays out every extra:
-    there the filter cost more time than it saved.
+    so is :func:`_q_axis`'s.  Which extras are left out: see :func:`_stage`.
     """
     if extra.ndim == 1 and len(lo) > 1:
-        keep = extra > lo.min()
-        keep[np.flatnonzero(extra >= hi.max())[1:]] = False
-        extra = extra[keep]
+        extra = extra[(extra > np.asarray(lo).min()) & (extra < np.asarray(hi).max())]
     zeros = [np.zeros((len(lo), 1, 1))] if zero else []
     samples = lo + fr[:, None] * (hi - lo)
+    samples[:, -1:] = hi
     return np.concatenate([samples, *zeros, _clip(extra[..., None], lo, hi)], axis=1)
 
 
@@ -341,10 +335,8 @@ def _q_axis(scale, samples, extra, lo, hi):
 
     ``samples`` run from one end of [lo, hi] to the other: a draw's
     ``e_lo * (1 - fr)`` from ``e_lo`` to a signed zero, a charge's
-    ``a_cap * fr`` from a zero to ``a_cap``.  So, over more than one state
-    as on :func:`_p_axis`, a shared extra at or below every row's ``lo`` or
-    at or above every row's ``hi`` repeats an end sample in value and is
-    left out.
+    ``a_cap * fr`` from a zero to ``a_cap``.  Which extras are left out: see
+    :func:`_stage`.
     """
     if extra.ndim == 1 and len(scale) > 1:
         extra = extra[(extra > np.asarray(lo).min()) & (extra < np.asarray(hi).max())]
@@ -372,13 +364,17 @@ def _stage(env, t, s, n_act, extra_a, extra_e):
     priced bit for bit as a call for its own interval prices it, with every
     extra laid out.
 
-    A call for one interval and more than one state leaves out the extras
-    that every row clips onto a column it already holds (see :func:`_p_axis`
-    and :func:`_q_axis`).  A left-out column equals its earlier twin in
-    value, row by row, and so does everything priced from it: draw floor,
-    charge cap, load, cost and next SOC.  The block minimum is the same, and
-    the rollout's stable tie rule picks the earlier twin, so every schedule
-    keeps its bits.
+    The extras rule.  Every axis samples each row's range [lo, hi] exactly
+    from end to end, so its first and last samples hold ``lo`` and ``hi``.
+    A call for one interval and more than one state lays out only the shared
+    extras with ``lo.min() < x < hi.max()``: any other extra clips, in every
+    row, onto an end that an end sample already holds.  A left-out column
+    equals that earlier twin in value, row by row, and so does everything
+    priced from it: draw floor, charge cap, load, cost and next SOC.  The
+    block minimum is the same, and the rollout's stable tie rule picks the
+    earlier twin, so every schedule keeps its bits.  One state, or one extra
+    row per state, lays out every extra: there the filter cost more time
+    than it saved.
     """
     if isinstance(t, np.ndarray):
         t = t[:, None, None]  # each interval's numbers become (n, 1, 1) columns
@@ -511,12 +507,6 @@ def _dp(env, grids, n_act, extras_a, extras_e, path=None):
         else:
             rows = np.repeat(run, sizes)
             states = np.concatenate([grids[t] for t in run])
-        # a stage's arrays stay bound until the next stage has built its own.
-        # With every extra laid out, that spared malloc a heap trim and regrow
-        # (1.01M minor page faults against 1.57M freed at once); with each
-        # distinct extra priced once it is a wash: 0.55M bound, 0.51M freed
-        # at once (the flagship's start seeds 0-4 in all, ru_minflt of one
-        # child process per solve, medians of 3)
         extras = extras_a[rows], extras_e[rows]
         a, e, cost, nxt = _stage(env, rows, states, n_act, *extras)
         end = 0

@@ -378,11 +378,15 @@ class TestInitialState:
                 "d2e27bad6b00f5c49c37476b87802c07796f6132aa3cafd7e58c65f2bc2dd629",
             ),
             # h1's and h2's sampled days end below the floor here, so each
-            # starts from its best response
+            # starts from its best response.  Re-recorded when every P axis came
+            # to end on its range's high end itself: h1's response takes its
+            # t=5 action at that end, now 0.0005556575678709473 where the top
+            # sample lo + 1 * (hi - lo) read 0.0005556575678709041 (the day's
+            # solve kept its bills)
             (
                 (3, 8, 2),
                 dict(soc_grid=24, action_grid=5, terminal_soc_min=12.0, seed=1),
-                "bc4cd11158fe7d782bf240cbfcb756140f0d7dd916668089885d0589485b6638",
+                "5f5affdb76c0986af7da5bb7ed47fcf354b1b91a7c0e5c3993efbb949b5d1af3",
             ),
         ],
         ids=["flagship", "2x6-seed5-terminal", "3x8-seed2-giver-floor"],
@@ -678,11 +682,14 @@ class TestDeviationGain:
         assert gain <= tiny_config.epsilon
 
 
-def flat_dp(env, grids, n_act, extras_a, extras_e, stage=_stage):
-    """Reference DP that steps and looks up every (a, e) pair of every stage.
+def flat_dp(env, grids, n_act, extras_a, extras_e):
+    """Reference DP that lays out, steps and looks up every (a, e) pair.
 
-    ``stage`` lays out and prices an interval's block, as :func:`_stage`
-    does.  Returns the rolled-out (a, e) and the backward values.
+    Interval t's pairs are :func:`looped_layout`'s with every extra, and
+    where the pool is empty its draws are the full lattice ``e_lo * (1 - fr)``
+    plus the extras clipped to [e_lo, 0], not one column.  No part of the
+    layout or the pricing is :func:`_stage`'s.  Returns the rolled-out (a, e)
+    and the backward values.
     """
     horizon = env.horizon
     if env.terminal_min is not None:
@@ -694,13 +701,17 @@ def flat_dp(env, grids, n_act, extras_a, extras_e, stage=_stage):
     values[horizon] = _terminal_values(env, grids[horizon])
 
     def totals(t, s):
-        # flatten the stage block into (state, pair) rows and step every pair
-        # itself, so a taker's per-action nxt is not trusted here
-        a, e, cost, _ = stage(env, t, s, n_act, extras_a[t], extras_e[t])
-        block = cost.shape
-        a, e, cost = (
-            np.broadcast_to(x, block).reshape(len(s), -1) for x in (a, e, cost)
-        )
+        a, e, _ = looped_layout(env, t, s, n_act, extras_a[t], extras_e[t], every=True)
+        if env.taker[t] and not env.pool_avail[t] > 0.0:
+            lattice = e * _fractions(n_act)[1]
+            e = np.concatenate([lattice, clipped(extras_e[t], e, 0.0)], axis=2)
+        loads = float(env.d[t]) + a + e if env.taker[t] else a
+        gap = loads + (float(env.l_others[t]) - float(env.g[t]))
+        cost = loads * (gap * gap + env.p0)
+        # flatten the block into (state, pair) rows and step every pair itself,
+        # so a taker's per-action nxt is not trusted here
+        a, e = (np.broadcast_to(x, cost.shape).reshape(len(s), -1) for x in (a, e))
+        cost = cost.reshape(len(s), -1)
         nxt = _transition(env, t, s[:, None], a, e)
         return a, e, nxt, cost + np.interp(nxt, grids[t + 1], values[t + 1])
 
@@ -741,148 +752,27 @@ def counted_dp(monkeypatch, env, grids, n_act, extras_a, extras_e, path):
     return out, env.horizon - steps, sum(run for run, _ in calls)
 
 
-class TestStageReduction:
-    def test_dp_matches_flat_reference_bit_for_bit(self, monkeypatch):
-        # taker stages minimize the draw before the SOC step and the lookup;
-        # the rolled-out schedule must equal the all-pairs reference exactly,
-        # also where the rollout reads a kept row or a run priced the stage
-        rng = np.random.default_rng(2024)
-        seen = {"taker": 0, "giver": 0, "inf": 0, "local": 0, "kept": 0, "run": 0}
-        for case in range(48):
-            M, T = int(rng.integers(2, 4)), int(rng.integers(4, 11))
-            scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
-            A, E = initial_state(scenario, GameConfig(seed=case))
-            m = int(rng.integers(0, M))
-            bat = scenario.households[m].battery
-            terminal = None
-            if case % 2:
-                terminal = bat.s_min + rng.uniform(0.1, 0.7) * (bat.s_max - bat.s_min)
-            env = _Env(scenario, A, E, m, terminal)
-            n_act = int(rng.integers(3, 10))
-            n_grid = int(rng.integers(6, 48))
-            sigma = rng.uniform(0.05, 0.5) * (env.s_max - env.s_min)
-            uniform = [_uniform_grid(env, n_grid)] * (T + 1)
-            a, e, traj = A[m], E[m], _soc_trajectory(env, A[m], E[m])
-            if case % 3 == 0:
-                grids = uniform
-            else:
-                # a refinement round around the schedule a uniform round found
-                a, e, traj = _dp(env, uniform, n_act, a[:, None], e[:, None])
-                grids = _local_grids(env, traj, n_grid, sigma)
-                seen["local"] += 1
-            offsets = sigma * np.linspace(-1.0, 1.0, int(rng.integers(1, 8)))
-            extras_a = a[:, None] + offsets
-            extras_e = e[:, None] + offsets
-            ref_a, ref_e, values = flat_dp(env, grids, n_act, extras_a, extras_e)
-            (a, e, soc), kept, runs = counted_dp(
-                monkeypatch, env, grids, n_act, extras_a, extras_e, traj
-            )
-            assert np.array_equal(a, ref_a) and np.array_equal(e, ref_e), case
-            assert soc.tobytes() == _soc_trajectory(env, a, e).tobytes(), case
-            seen["taker"] += int(env.taker.sum())
-            seen["giver"] += int((~env.taker).sum())
-            seen["inf"] += int(any(np.isinf(v).any() for v in values[1:]))
-            seen["kept"] += kept
-            seen["run"] += runs
-        assert min(seen.values()) > 0, seen
-
-
-def lattice_stage(env, t, s, n_act, extra_a, extra_e):
-    """:func:`_stage` with an empty pool's draw axis laid out in full.
-
-    At a taker interval whose pool is empty, the draws are the lattice
-    e_lo * (1 - fr) plus the extras clipped to [e_lo, 0], priced here.
-    """
-    a, e, cost, nxt = _stage(env, t, s, n_act, extra_a, extra_e)
-    pool = float(env.pool_avail[t])
-    if not env.taker[t] or pool > 0.0:
-        return a, e, cost, nxt
-    d = float(env.d[t])
-    e_lo = _taker_draw_floor(d, a, pool)
-    fr = np.linspace(0.0, 1.0, n_act)
-    e = np.concatenate(
-        [e_lo * (1.0 - fr), np.clip(extra_e[None, None, :], e_lo, 0.0)], axis=2
-    )
-    loads = d + a + e
-    gap = loads + (float(env.l_others[t]) - float(env.g[t]))
-    return a, e, loads * (gap * gap + env.p0), nxt
-
-
-class TestEmptyPool:
-    def test_one_draw_column_matches_the_full_lattice_bit_for_bit(self, monkeypatch):
-        # an empty pool leaves every draw at e_lo, a signed zero, so _stage
-        # lays out that one column; the rolled-out schedule must keep the
-        # full lattice's bits, -0.0 draws included, also where a run of such
-        # intervals is priced in one call or the rollout reads a kept row
-        rng = np.random.default_rng(18)
-        seen = {"empty": 0, "negative_zero": 0, "rounds": 0, "kept": 0, "run": 0}
-        for case in range(40):
-            M, T = int(rng.integers(2, 5)), int(rng.integers(4, 13))
-            scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
-            A, E = initial_state(scenario, GameConfig(seed=case))
-            # empty the pool at about half the intervals: nobody offers there
-            quiet = rng.random(T) < 0.5
-            E[:, quiet] = np.minimum(E[:, quiet], 0.0)
-            m = int(rng.integers(0, M))
-            env = _Env(scenario, A, E, m, None)
-            n_act = int(rng.integers(3, 10))
-            sigma = rng.uniform(0.05, 0.5) * (env.s_max - env.s_min)
-            uniform = [_uniform_grid(env, int(rng.integers(6, 48)))] * (T + 1)
-            a, e, traj = A[m], E[m], _soc_trajectory(env, A[m], E[m])
-            if case % 2:
-                grids = uniform
-                offsets = np.zeros(1)
-            else:
-                # a refinement round around the schedule a uniform round found
-                a, e, traj = _dp(env, uniform, n_act, a[:, None], e[:, None])
-                grids = _local_grids(env, traj, int(rng.integers(6, 48)), sigma)
-                offsets = sigma * np.linspace(-1.0, 1.0, int(rng.integers(1, 8)))
-                seen["rounds"] += 1
-            extras_a = a[:, None] + offsets
-            extras_e = e[:, None] + offsets
-            ref_a, ref_e, _ = flat_dp(
-                env, grids, n_act, extras_a, extras_e, stage=lattice_stage
-            )
-            (a, e, soc), kept, runs = counted_dp(
-                monkeypatch, env, grids, n_act, extras_a, extras_e, traj
-            )
-            assert a.tobytes() == ref_a.tobytes(), case
-            assert e.tobytes() == ref_e.tobytes(), case
-            assert soc.tobytes() == _soc_trajectory(env, a, e).tobytes(), case
-            empty = env.taker & ~(env.pool_avail > 0.0)
-            seen["empty"] += int(empty.sum())
-            seen["negative_zero"] += int(np.signbit(e[empty]).sum())
-            seen["kept"] += kept
-            seen["run"] += runs
-        assert min(seen.values()) > 0, seen
-
-
 def clipped(x, lo, hi):
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def laid_out(extra, lows, highs, top_once):
+def laid_out(extra, lows, highs):
     """Which extras an axis of a block of more than one state lays out.
 
-    It leaves out an extra at or below every row's low end, where sample 0
-    holds the low end, and one at or above every row's high end: on a Q axis,
-    whose last sample is that end, all of them; on a P axis each one after
-    the first, since the top sample may miss the end by an ulp.
+    It leaves out an extra at or below every row's low end and one at or
+    above every row's high end: the axis's end samples hold both ends.
     """
-    keep, tops = [], 0
-    for x in extra:
-        top = all(x >= hi for hi in highs)
-        tops += top
-        low = all(x <= lo for lo in lows)
-        keep.append(not low and not (top and (tops > 1 or not top_once)))
-    return np.array(keep, dtype=bool)
+    low = np.array([all(x <= lo for lo in lows) for x in extra], dtype=bool)
+    top = np.array([all(x >= hi for hi in highs) for x in extra], dtype=bool)
+    return ~low & ~top
 
 
 def looped_layout(env, t, states, n_act, extra_a, extra_e, every=False):
     """:func:`_stage`'s (a, e) blocks, laid out one state and one entry at a time.
 
     Each state's ranges come from the region helpers; the samples of a range
-    are ``_fractions``'s, and each extra is clipped into the range it joins.
+    are ``_fractions``'s, a P axis's last one the range's high end itself, and
+    each extra is clipped into the range it joins.
     Over more than one state, an axis lays out the extras :func:`laid_out`
     keeps by the rows' own ranges; with ``every``, every extra.  Returns the
     blocks and the (action, draw-or-offer) keep masks over the extras.
@@ -892,23 +782,24 @@ def looped_layout(env, t, states, n_act, extra_a, extra_e, every=False):
     pool = float(env.pool_avail[t])
     phi = [_phi_plus_vec(env, s) for s in states]
 
-    def keep(extra, lows, highs, top_once):
+    def keep(extra, lows, highs):
         if every or len(states) == 1:
             return np.ones(len(extra), dtype=bool)
-        return laid_out(extra, lows, highs, top_once)
+        return laid_out(extra, lows, highs)
 
     def clip(extra, lo, hi):
         return [clipped(x, lo, hi) for x in extra]
 
     def axis(lo, hi, extra, zero=()):
-        return [lo + f * (hi - lo) for f in fr] + list(zero) + clip(extra, lo, hi)
+        samples = [lo + f * (hi - lo) for f in fr[:-1]] + [hi]
+        return samples + list(zero) + clip(extra, lo, hi)
 
     if env.taker[t]:
         ranges = [_taker_action_range(env, s, d, p) for s, p in zip(states, phi)]
-        keep_a = keep(extra_a, *zip(*ranges), True)
+        keep_a = keep(extra_a, *zip(*ranges))
         acts = [axis(lo, hi, extra_a[keep_a], [0.0]) for lo, hi in ranges]
         floors = [[_taker_draw_floor(d, a, pool) for a in row] for row in acts]
-        keep_e = keep(extra_e, [e for row in floors for e in row], [0.0], False)
+        keep_e = keep(extra_e, [e for row in floors for e in row], [0.0])
         draws = [[[e_lo] for e_lo in row] for row in floors]
         if pool > 0.0:
             kept_e = extra_e[keep_e]
@@ -922,13 +813,13 @@ def looped_layout(env, t, states, n_act, extra_a, extra_e, every=False):
         ranges = [
             _giver_offer_range(env, s, d, p, min_offer) for s, p in zip(states, phi)
         ]
-        keep_e = keep(extra_e, *zip(*ranges), True)
+        keep_e = keep(extra_e, *zip(*ranges))
         offers = [axis(lo, hi, extra_e[keep_e]) for lo, hi in ranges]
         caps = [
             [_giver_charge_cap(env, s, d, p, e) for e in row]
             for s, p, row in zip(states, phi, offers)
         ]
-        keep_a = keep(extra_a, [0.0], [c for row in caps for c in row], False)
+        keep_a = keep(extra_a, [0.0], [c for row in caps for c in row])
         a_block = [
             [[cap * f for f in fr] + clip(extra_a[keep_a], 0.0, cap) for cap in row]
             for row in caps
@@ -981,6 +872,16 @@ class TestStageLayout:
                     assert got.shape == ref.shape, (case, t)
                     assert got.tobytes() == ref.tobytes(), (case, t)
                     assert np.array_equal(np.signbit(got), np.signbit(ref)), (case, t)
+                # every P-axis sample lies inside its row's range
+                phi, d = _phi_plus_vec(env, states), env.d[t]
+                if env.taker[t]:
+                    p, ends = a, _taker_action_range(env, states, d, phi)
+                else:
+                    ends = _giver_offer_range(env, states, d, phi, env.min_offer[t])
+                    p = e
+                lo, hi = (np.broadcast_to(x, states.shape)[:, None] for x in ends)
+                samples = p[:, :n_act, 0]
+                assert ((lo <= samples) & (samples <= hi)).all(), (case, t)
                 kind = "giver"
                 if env.taker[t]:
                     kind = "taker" if env.pool_avail[t] > 0.0 else "empty"
@@ -1109,59 +1010,44 @@ class TestStageRuns:
         assert runs > 0
 
 
-def every_extra_stage(env, t, s, n_act, extra_a, extra_e):
-    """:func:`_stage` with every extra laid out and priced.
-
-    The blocks are :func:`looped_layout`'s with ``every``: no axis leaves an
-    extra out, whatever its rows clip it onto.
-    """
-    a, e, _ = looped_layout(env, t, s, n_act, extra_a, extra_e, every=True)
-    loads = float(env.d[t]) + a + e if env.taker[t] else a
-    gap = loads + (float(env.l_others[t]) - float(env.g[t]))
-    nxt = _transition(env, t, s[:, None, None], a, e)
-    return a, e, loads * (gap * gap + env.p0), nxt
-
-
 class TestDistinctExtras:
     def test_dp_matches_the_every_extra_reference_bit_for_bit(self, monkeypatch):
-        # an axis leaves out the extras every row clips onto a column it
-        # already holds; the rolled-out schedule and its SOC path must equal
-        # the reference that lays out and prices every extra, bit for bit
+        # _dp minimizes a taker's draws before the SOC step and the lookup,
+        # lays out an empty pool's draws as one column, prices a run of such
+        # intervals in one call and each distinct extra once, and reads kept
+        # rows in the rollout; the rolled-out schedule and its SOC path must
+        # equal the flat reference's, which lays out every pair, bit for bit
         rng = np.random.default_rng(30)
         kinds = ("action", "draw", "offer", "charge")
         seen = {k + end: 0 for k in kinds for end in ("_low", "_top")}
-        seen.update(kept=0, lone=0, floor=0, local=0)
+        seen.update(taker=0, giver=0, empty=0, negative_zero=0, inf=0)
+        seen.update(floor=0, local=0, lone=0, kept=0, run=0)
         p_axis, q_axis = engine._p_axis, engine._q_axis
 
-        def p_spy(lo, hi, fr, extra, zero):
-            out = p_axis(lo, hi, fr, extra, zero)
-            if extra.ndim == 1 and len(lo) > 1:
-                low = extra <= lo.min()
-                top = extra >= hi.max()
-                copy = top & (np.cumsum(top) > 1)
-                kind = "action" if zero else "offer"
+        def left_out(kind, extra, lo, hi, states):
+            # the extras an axis over more than one state clips onto an end
+            if extra.ndim == 1 and states > 1:
+                low = extra <= np.min(lo)
                 seen[kind + "_low"] += int(low.sum())
-                seen[kind + "_top"] += int(copy.sum())
-                assert out.shape[1] == len(fr) + zero + len(extra) - (low | copy).sum()
-            return out
+                seen[kind + "_top"] += int(((extra >= np.max(hi)) & ~low).sum())
+
+        def p_spy(lo, hi, fr, extra, zero):
+            left_out("action" if zero else "offer", extra, lo, hi, len(lo))
+            return p_axis(lo, hi, fr, extra, zero)
 
         def q_spy(scale, samples, extra, lo, hi):
-            out = q_axis(scale, samples, extra, lo, hi)
-            if extra.ndim == 1 and len(scale) > 1:
-                low = extra <= np.min(lo)
-                top = (extra >= np.max(hi)) & ~low
-                kind = "draw" if np.ndim(hi) == 0 else "charge"
-                seen[kind + "_low"] += int(low.sum())
-                seen[kind + "_top"] += int(top.sum())
-                assert out.shape[2] == len(samples) + len(extra) - (low | top).sum()
-            return out
+            kind = "draw" if np.ndim(hi) == 0 else "charge"
+            left_out(kind, extra, lo, hi, len(scale))
+            return q_axis(scale, samples, extra, lo, hi)
 
         monkeypatch.setattr(engine, "_p_axis", p_spy)
         monkeypatch.setattr(engine, "_q_axis", q_spy)
-        for case in range(40):
-            M, T = int(rng.integers(1, 4)), int(rng.integers(3, 9))
+        for case in range(60):
+            M, T = int(rng.integers(1, 5)), int(rng.integers(3, 11))
             scenario = synth_scenario(M, T, seed=int(rng.integers(0, 1000)))
             A, E = initial_state(scenario, GameConfig(seed=case))
+            quiet = rng.random(T) < 0.4  # nobody offers here: the pool is empty
+            E[:, quiet] = np.minimum(E[:, quiet], 0.0)
             m = int(rng.integers(0, M))
             bat = scenario.households[m].battery
             terminal = None
@@ -1169,8 +1055,8 @@ class TestDistinctExtras:
                 terminal = bat.s_min + rng.uniform(0.1, 0.7) * (bat.s_max - bat.s_min)
                 seen["floor"] += 1
             env = _Env(scenario, A, E, m, terminal)
-            n_act = int(rng.integers(3, 8))
-            n_grid = int(rng.integers(4, 20))
+            n_act = int(rng.integers(3, 9))
+            n_grid = int(rng.integers(4, 40))
             sigma = rng.uniform(0.05, 0.5) * (env.s_max - env.s_min)
             uniform = [_uniform_grid(env, n_grid)] * (T + 1)
             a, e, traj = A[m], E[m], _soc_trajectory(env, A[m], E[m])
@@ -1181,22 +1067,28 @@ class TestDistinctExtras:
                 seen["local"] += 1
             else:
                 grids = uniform
-            # the incumbent's offsets and both signed zeros, in random order
+            # the incumbent's offsets, both signed zeros and an extra beyond
+            # either end of the ranges, in random order
             offsets = sigma * np.linspace(-1.0, 1.0, int(rng.integers(1, 8)))
-            zeros = np.zeros((T, 2))
-            zeros[:, 1] = -0.0
-            extras_a = rng.permuted(np.c_[a[:, None] + offsets, zeros], axis=1)
-            extras_e = rng.permuted(np.c_[e[:, None] + offsets, zeros], axis=1)
-            ref_a, ref_e, _ = flat_dp(
-                env, grids, n_act, extras_a, extras_e, stage=every_extra_stage
-            )
-            (a, e, soc), kept, _ = counted_dp(
+            spread = 2.0 * (env.s_max - env.s_min)
+            ends = np.tile([0.0, -0.0, -spread, spread], (T, 1))
+            extras_a = rng.permuted(np.c_[a[:, None] + offsets, ends], axis=1)
+            extras_e = rng.permuted(np.c_[e[:, None] + offsets, ends], axis=1)
+            ref_a, ref_e, values = flat_dp(env, grids, n_act, extras_a, extras_e)
+            (a, e, soc), kept, runs = counted_dp(
                 monkeypatch, env, grids, n_act, extras_a, extras_e, traj
             )
             assert a.tobytes() == ref_a.tobytes(), case
             assert e.tobytes() == ref_e.tobytes(), case
             assert soc.tobytes() == _soc_trajectory(env, ref_a, ref_e).tobytes(), case
+            empty = env.taker & ~(env.pool_avail > 0.0)
+            seen["taker"] += int(env.taker.sum())
+            seen["giver"] += int((~env.taker).sum())
+            seen["empty"] += int(empty.sum())
+            seen["negative_zero"] += int(np.signbit(e[empty]).sum())
+            seen["inf"] += int(any(np.isinf(v).any() for v in values[1:]))
             seen["kept"] += kept
+            seen["run"] += runs
             seen["lone"] += M == 1
         assert min(seen.values()) > 0, seen
 
