@@ -26,6 +26,7 @@ from .battery import (
     soc_next_giver,
     soc_next_taker,
 )
+from .billing import aggregate
 from .errors import InfeasibleDecisionError, LengthMismatchError
 
 
@@ -321,7 +322,6 @@ def audit_community(
         raise InfeasibleDecisionError(
             "terminal_soc_min %g missed: %s" % (terminal_min, ", ".join(short))
         )
-    aggregated = np.array([math.fsum(loads[:, t]) for t in range(horizon)])
     return CommunityTrace(
-        loads=loads, soc=soc, aggregated=aggregated, pool_leftover=leftover
+        loads=loads, soc=soc, aggregated=aggregate(loads), pool_leftover=leftover
     )

@@ -109,10 +109,6 @@ def run(
     )
 
 
-def _floats(values) -> list:
-    return [float(v) for v in values]
-
-
 def result_document(report: RunReport) -> dict:
     """The result.json payload.  Excludes wall time so reruns are identical."""
     scenario = report.scenario
@@ -122,9 +118,9 @@ def result_document(report: RunReport) -> dict:
         "scenario_digest": scenario.digest(),
         "config": dataclasses.asdict(report.config),
         "baseline": {
-            "bills": dict(zip(ids, _floats(report.baseline.bills))),
-            "aggregated_load": _floats(report.baseline.aggregated),
-            "tracking_error": float(report.baseline.tracking_error),
+            "bills": dict(zip(ids, report.baseline.bills)),
+            "aggregated_load": report.baseline.aggregated.tolist(),
+            "tracking_error": report.baseline.tracking_error,
         },
         "game": None,
         "reduction_pct": report.reduction_pct,
@@ -136,20 +132,20 @@ def result_document(report: RunReport) -> dict:
             "converged": eq.converged,
             "sweeps_used": eq.sweeps_used,
             "cycle_detected": eq.cycle_detected,
-            "max_deviation_gain": float(eq.max_deviation_gain),
-            "deviation_gains": dict(zip(ids, _floats(eq.deviation_gains))),
-            "bills": dict(zip(ids, _floats(eq.bills))),
+            "max_deviation_gain": eq.max_deviation_gain,
+            "deviation_gains": dict(zip(ids, eq.deviation_gains)),
+            "bills": dict(zip(ids, eq.bills)),
             "tracking_error": report.game_tracking_error,
-            "aggregated_load": _floats(eq.aggregated),
-            "pool": _floats(eq.pool),
+            "aggregated_load": eq.aggregated.tolist(),
+            "pool": eq.pool.tolist(),
             "convergence_log": eq.convergence_log,
             "households": {
                 ids[m]: {
-                    "a": _floats(eq.schedules[m].a),
-                    "e": _floats(eq.schedules[m].e),
-                    "load": _floats(eq.loads[m]),
-                    "soc": _floats(eq.soc[m]),
-                    "net_demand": _floats(d[m]),
+                    "a": eq.schedules[m].a.tolist(),
+                    "e": eq.schedules[m].e.tolist(),
+                    "load": eq.loads[m].tolist(),
+                    "soc": eq.soc[m].tolist(),
+                    "net_demand": d[m].tolist(),
                 }
                 for m in range(len(ids))
             },
@@ -234,10 +230,6 @@ def _parse_result(doc, scenario: Scenario):
     return config, schedules
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def traces_table(report: RunReport) -> str:
     """The traces.csv content: one row per interval, full-precision floats."""
     scenario = report.scenario
@@ -258,12 +250,12 @@ def traces_table(report: RunReport) -> str:
                 ("%s_e" % h.id, eq.schedules[m].e),
                 ("%s_soc" % h.id, eq.soc[m]),  # T + 1 entries; zip stops at T
             ]
+    text = [map(repr, series.tolist()) for _, series in columns]
     buf = io.StringIO()
     # a writer quotes a household id that holds a comma or a quote
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t"] + [name for name, _ in columns])
-    for t, values in enumerate(zip(*(series for _, series in columns))):
-        writer.writerow([str(t)] + [_fmt(v) for v in values])
+    writer.writerows(zip(map(str, range(scenario.horizon)), *text))
     return buf.getvalue()
 
 

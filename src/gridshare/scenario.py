@@ -111,13 +111,13 @@ class Scenario:
             "eta_bar": self.eta_bar,
             "tariff": {
                 "p0": self.tariff.p0,
-                "generation": [float(x) for x in self.tariff.generation],
+                "generation": self.tariff.generation.tolist(),
             },
             "households": [
                 {
                     "id": h.id,
-                    "demand": [float(x) for x in h.demand],
-                    "re_output": [float(x) for x in h.re_output],
+                    "demand": h.demand.tolist(),
+                    "re_output": h.re_output.tolist(),
                     "initial_soc": float(h.initial_soc),
                     "battery": asdict(h.battery),
                 }

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -26,6 +27,33 @@ CFG = GameConfig(soc_grid=24, action_grid=5, seed=3)
 def small_report():
     scenario = synth_scenario(2, 12, seed=5)
     return scenario, run(scenario, CFG)
+
+
+def cell_by_cell_traces(report):
+    """traces.csv written one cell at a time: ``str(t)``, then ``repr(float(v))``."""
+    scenario, eq = report.scenario, report.equilibrium
+    columns = [
+        ("g", scenario.tariff.generation),
+        ("baseline_load", report.baseline.aggregated),
+    ]
+    if eq is not None:
+        columns += [("equilibrium_load", eq.aggregated), ("pool", eq.pool)]
+    loads = report.baseline.loads if eq is None else eq.loads
+    d = scenario.net_demands()
+    for m, h in enumerate(scenario.households):
+        columns += [(h.id + "_d", d[m]), (h.id + "_load", loads[m])]
+        if eq is not None:
+            columns += [
+                (h.id + "_a", eq.schedules[m].a),
+                (h.id + "_e", eq.schedules[m].e),
+                (h.id + "_soc", eq.soc[m]),
+            ]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t"] + [name for name, _ in columns])
+    for t in range(scenario.horizon):
+        writer.writerow([str(t)] + [repr(float(series[t])) for _, series in columns])
+    return buf.getvalue()
 
 
 class TestBaseline:
@@ -164,6 +192,19 @@ class TestEmission:
         assert "h,1_d" in rows[0] and "h\u00e9_soc" in rows[0]
         assert len(rows) == 1 + scenario.horizon
         assert all(len(row) == len(rows[0]) == 15 for row in rows)
+
+    @pytest.mark.parametrize("game", [False, True], ids=["baseline-only", "solved"])
+    def test_traces_match_a_cell_by_cell_table(self, game):
+        scenario = synth_scenario(3, 8, seed=5)
+        households = [
+            dataclasses.replace(h, id=hid)
+            for h, hid in zip(scenario.households, ["h,1", 'h"2', "h\u00e9"])
+        ]
+        scenario = dataclasses.replace(scenario, households=households)
+        report = run(scenario, CFG, baseline_only=not game)
+        if game:
+            assert report.equilibrium.soc.shape == (3, scenario.horizon + 1)
+        assert traces_table(report) == cell_by_cell_traces(report)
 
     def test_summary_mentions_convergence(self, small_report, tmp_path):
         _, report = small_report

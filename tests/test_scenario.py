@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -567,6 +568,19 @@ class TestSynth:
         # pins the canonical document, battery key order included
         assert synth_scenario(4, 24, seed=7).digest() == (
             "ad2990876cae22a6c2712cc78bc9b18e4b9838dfd38e10ad3731cc146dafd32d"
+        )
+
+    def test_ingest_day_digest_and_file_are_stable(self, tmp_path):
+        # the benchmark's 256x96 ingest day at full size: its canonical
+        # document and its saved bytes
+        scenario = synth_scenario(256, 96, seed=7)
+        assert scenario.digest() == (
+            "e74dcaff4adda73a395cb01c180165cc19335ae55189d38cb3ee75461750afa0"
+        )
+        path = tmp_path / "ingest.yaml"
+        save_scenario(scenario, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "850f299c13789fbe96ea48c06b115ffa71c18f00675215f81ac3760ee7e27fe6"
         )
 
     def test_different_seed_differs(self):
