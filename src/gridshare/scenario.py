@@ -305,123 +305,171 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # Plain scalars that YAML 1.1 resolves to float and int, and on which
 # float() and int() give the constructor's value: the float resolver runs
-# first, and sign * float(digits) equals float(text) bit for bit.
-_PLAIN_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?").fullmatch
-_PLAIN_INT = re.compile(r"-?(?:0|[1-9][0-9]*)").fullmatch
+# first, and sign * float(digits) equals float(text) bit for bit.  An int
+# keeps to 18 digits, far inside int()'s digit limit.
+_FLOAT = r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?"
+_PLAIN_FLOAT = re.compile(_FLOAT).fullmatch
+_PLAIN_INT = re.compile(r"-?(?:0|[1-9][0-9]{0,17})").fullmatch
+_WORD = re.compile(r"[A-Za-z_][\w.+-]*", re.ASCII).fullmatch
 
+# The block layout save_scenario writes, read a line at a time: a run of
+# float items at one indentation, or one comment at column 0, or one
+# `key:`, `key: scalar`, `- scalar` or `- key: ...` line, whose groups are
+# the indentation, the dash, the key, the key's scalar and the item's.
+_FLOAT_RUN = r"( *)- %s\n(?:\1- %s\n)*" % (_FLOAT, _FLOAT)
+_LINE = r"#[ -~]*\n|( *)(- )?(?:([\w.+-]+):(?: ([\w.+-]+))?|([\w.+-]+))\n"
 
 # deepest nesting of collections read; the schema needs 4 levels, and
 # yaml.load's C composer recurses once per level, down to a stack overflow
 _MAX_DEPTH = 256
-
-_FULL_LOAD = object()  # _compose's answer for a document only yaml.load builds
 
 
 class _TooDeep(Exception):
     """Collections nest deeper than ``_MAX_DEPTH`` levels: a parse error."""
 
 
-def _compose(loader):
-    """The stream's document built from its parser events, in one walk.
+class _Declined(Exception):
+    """The text is not in the block layout :func:`_read_block` reads."""
 
-    The walk goes from stream start to stream end.  At an anchor, an alias,
-    an explicit tag, a collection as a mapping key, a second document, the
-    nesting bound or a scalar that does not convert (a ConstructorError or
-    ValueError: a merge or value key, a date that does not exist, an int
-    longer than Python converts) it stops building, walks on counting
-    nesting only and returns _FULL_LOAD.  Raises _TooDeep past
-    ``_MAX_DEPTH``; an error from ``get_event`` ends the walk and propagates.
+
+def _word(text):
+    """``text`` if it is an ASCII word that YAML 1.1 resolves to str."""
+    resolvers = _LOADER.yaml_implicit_resolvers
+    if _WORD(text) and not any(
+        regexp.match(text)
+        for _, regexp in resolvers.get(text[0], []) + resolvers.get(None, [])
+    ):
+        return text
+    raise _Declined
+
+
+def _plain(text):
+    """A plain scalar's value: a float, an int or a word that resolves to str."""
+    if _PLAIN_FLOAT(text):
+        return float(text)
+    if _PLAIN_INT(text):
+        return int(text)
+    return _word(text)
+
+
+def _read_block(text):
+    """The document of ``text``, read a line at a time; raises _Declined.
+
+    Every line must be one of :data:`_LINE`'s, without tabs, trailing
+    spaces, quotes, flow collections, anchors, tags or continuation lines,
+    and the document must nest as YAML's block collections do: a `key:`
+    line's value is a collection indented deeper or a sequence at the
+    key's own column, else None.  Nesting past ``_MAX_DEPTH`` declines too.
     """
-    get_event = loader.get_event
-    constructors = loader.yaml_constructors
-    get_event()  # StreamStartEvent
-    if isinstance(get_event(), yaml.StreamEndEvent):
-        return None
-    # items of the innermost open collection; a mapping's alternate key, value
-    items = []
-    is_mapping = False
-    outer = []  # (items, is_mapping) of the collections around it
-    while True:
-        event = get_event()
-        kind = event.__class__
-        if kind is yaml.ScalarEvent:
-            if event.anchor is not None or event.tag is not None:
-                break
-            value = event.value
-            try:
-                if event.implicit[0] and _PLAIN_FLOAT(value):
-                    value = float(value)
-                elif event.implicit[0] and _PLAIN_INT(value):
-                    value = int(value)
-                else:
-                    tag = loader.resolve(yaml.ScalarNode, value, event.implicit)
-                    node = yaml.ScalarNode(tag, value, style=event.style)
-                    # a merge or value key has none; the undefined tag's raises
-                    value = constructors.get(tag, constructors[None])(loader, node)
-            except (yaml.YAMLError, ValueError):
-                break
-            items.append(value)
-        elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
-            if (
-                len(outer) == _MAX_DEPTH
-                or event.anchor is not None
-                or event.tag is not None
-                or (is_mapping and len(items) % 2 == 0)
-            ):
-                break
-            outer.append((items, is_mapping))
-            items, is_mapping = [], kind is yaml.MappingStartEvent
-        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
-            value = dict(zip(items[::2], items[1::2])) if is_mapping else items
-            items, is_mapping = outer.pop()
-            items.append(value)
-        elif kind is yaml.DocumentEndEvent:
-            event = get_event()
-            if isinstance(event, yaml.StreamEndEvent):
-                return items[0]
-            break
-        elif kind is yaml.AliasEvent:
-            break
-    depth = len(outer)
-    while not isinstance(event, yaml.StreamEndEvent):
-        kind = event.__class__
-        if kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
-            depth += 1
-            if depth > _MAX_DEPTH:
-                mark = event.start_mark
-                raise _TooDeep(
-                    "collections nest deeper than %d levels (line %d, column %d)"
-                    % (_MAX_DEPTH, mark.line + 1, mark.column + 1)
-                )
-        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
-            depth -= 1
-        event = get_event()
-    return _FULL_LOAD
+    # compiled at the first read, not at import, which every child pays
+    float_run = re.compile(_FLOAT_RUN).match
+    next_line = re.compile(_LINE, re.ASCII).match
+    holder = {}  # the document is its one value
+    stack = [(-1, holder)]  # open collections with their columns, innermost last
+    key = ""  # key of the last `key:` line, while its value may open below it
+    pos = 0
+    while pos < len(text):
+        run = float_run(text, pos)
+        line = run or next_line(text, pos)
+        if line is None:
+            raise _Declined
+        pos = line.end()
+        if run:
+            column, dash, name = len(run[1]), True, None
+            items = list(map(float, run[0].split()[1::2]))
+        elif line[1] is None:  # a comment
+            continue
+        else:
+            column, dash, name, value = len(line[1]), bool(line[2]), line[3], line[4]
+            if name is None:
+                if not dash:  # a continuation line or a scalar document
+                    raise _Declined
+                items = [_plain(line[5])]
+        if key is not None:
+            outer_column, outer = stack[-1]
+            if column > outer_column or (dash and column == outer_column):
+                outer[key] = [] if dash else {}
+                stack.append((column, outer[key]))
+            key = None
+        while stack[-1][0] > column:
+            stack.pop()
+        if not dash and stack[-1][0] == column and type(stack[-1][1]) is list:
+            stack.pop()  # a key ends the sequence at its own column
+        outer_column, outer = stack[-1]
+        if outer_column != column or (type(outer) is list) != dash:
+            raise _Declined
+        if dash and name is not None:  # `- key: ...` opens a mapping two columns in
+            outer.append({})
+            outer = outer[-1]
+            stack.append((column + 2, outer))
+        if len(stack) > _MAX_DEPTH + 1:
+            raise _Declined
+        if name is None:
+            outer.extend(items)
+        elif value is None:
+            outer[_word(name)] = None  # until a collection opens below it
+            key = name
+        else:
+            outer[_word(name)] = _plain(value)
+    if not holder:
+        raise _Declined
+    return holder[""]
+
+
+def _check_depth(stream):
+    """Walk the stream's parser events; raise _TooDeep past ``_MAX_DEPTH``.
+
+    A parser error or text that does not decode ends the walk quietly:
+    ``yaml.load`` meets it too.
+    """
+    loader = _LOADER(stream)
+    depth = 0
+    try:
+        event = loader.get_event()
+        while not isinstance(event, yaml.StreamEndEvent):
+            kind = event.__class__
+            if kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+                depth += 1
+                if depth > _MAX_DEPTH:
+                    mark = event.start_mark
+                    raise _TooDeep(
+                        "collections nest deeper than %d levels (line %d, column %d)"
+                        % (_MAX_DEPTH, mark.line + 1, mark.column + 1)
+                    )
+            elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+                depth -= 1
+            event = loader.get_event()
+    except (yaml.YAMLError, ValueError):
+        pass
+    finally:
+        loader.dispose()
 
 
 def _read_yaml(fh):
-    """``yaml.load(fh)`` under YAML 1.1 safe-load rules, built from parser events.
+    """``yaml.load(fh)`` under YAML 1.1 safe-load rules, nesting bounded.
 
-    One walk over the events (:func:`_compose`) builds the document and
-    bounds its nesting at ``_MAX_DEPTH`` (``yaml.load`` recurses once per
-    level).  A document the walk does not build, or one whose walk ends at
-    a parser error or at text that does not decode, is read again, whole,
-    by ``yaml.load``, so its value or its exception is that call's.
+    Text in the block layout that :func:`save_scenario` writes is read a
+    line at a time (:func:`_read_block`).  Any other text is walked once
+    to bound its nesting at ``_MAX_DEPTH`` (``yaml.load`` recurses once
+    per level) and then read by ``yaml.load``, so its value or its
+    exception is that call's.
     """
-    if not fh.seekable():  # a pipe cannot be read twice
-        name, fh = fh.name, io.StringIO(fh.read())
-        fh.name = name  # parser errors name the file
-    loader = _LOADER(fh)
     try:
-        data = _compose(loader)
-    except (yaml.YAMLError, ValueError):  # from get_event; yaml.load meets it too
-        data = _FULL_LOAD
-    finally:
-        loader.dispose()
-    if data is _FULL_LOAD:
-        fh.seek(0)
-        data = yaml.load(fh, Loader=_LOADER)
-    return data
+        text = fh.read()
+    except UnicodeDecodeError:
+        if not fh.seekable():  # a pipe cannot be read twice
+            raise
+        fh.seek(0)  # yaml.load decodes in chunks, so its error names another position
+        stream = fh
+    else:
+        try:
+            return _read_block(text)
+        except _Declined:
+            stream = io.StringIO(text)
+            stream.name = getattr(fh, "name", "<file>")  # parser errors name the file
+    _check_depth(stream)
+    stream.seek(0)
+    return yaml.load(stream, Loader=_LOADER)
 
 
 def load_scenario(path) -> Scenario:

@@ -3,6 +3,8 @@ import hashlib
 import io
 import math
 import os
+import random
+import re
 import struct
 import sys
 import threading
@@ -390,6 +392,79 @@ SCALARS = [
 ]
 
 
+class _IndentedDumper(yaml.SafeDumper):
+    """Indents a mapping's sequences under their key."""
+
+    def increase_indent(self, flow=False, indentless=False):
+        return super().increase_indent(flow, False)
+
+
+def _replaced(old, new):
+    def edit(text):
+        assert old in text
+        return text.replace(old, new, 1)
+
+    return edit
+
+
+# edits of the 2x4 synth file around the block layout's grammar
+SYNTH_VARIANTS = [
+    lambda text: text.replace("\n", "\r\n"),
+    _replaced("\n  p0:", "\n\tp0:"),
+    _replaced("eta_bar: 0.9\n", "eta_bar:\t0.9\n"),
+    _replaced("eta_bar: 0.9\n", "eta_bar: 0.9 \n"),
+    _replaced("tariff:\n", "tariff: \n"),
+    _replaced("eta_bar: 0.9\n", "eta_bar: 0.9 # c\n"),
+    _replaced("\n  p0:", "\n  # c\n  p0:"),
+    _replaced("\n", "\n# caf\u00e9\n"),
+    _replaced("\n", "\n# bell\x07\n"),
+    _replaced("\n", "\n# next line\x85extra: 1\n"),
+    lambda text: text.replace("\nT:", "\n\nT:") + "\n\n",
+    lambda text: text.rstrip("\n"),
+    lambda text: "---\n" + text + "...\n",
+    lambda text: "\ufeff" + text,
+    lambda text: text + "true: 1\n",
+    lambda text: text + "1: a\n",
+    lambda text: text + "null: a\n",
+    lambda text: text + "T:\n",
+    _replaced("id: h1\n", "id: 'h1'\n"),
+    _replaced("id: h1\n", 'id: "h1"\n'),
+    _replaced("id: h1\n", "id: yes\n"),
+    _replaced("id: h1\n", "id: 0x1F\n"),
+    _replaced("id: h1\n", "id: h1 h2\n"),
+    _replaced("id: h1\n", "id: h1\n  continued\n"),
+    lambda text: yaml.dump(
+        yaml.safe_load(text), Dumper=_IndentedDumper, sort_keys=False
+    ),
+    lambda text: re.sub(r"(?m)^(?=[^#\n])", "  ", text),
+    _replaced("- id: h1\n", "- id:\n    a: 1\n    b:\n    - 2\n  c: 3\n"),
+    _replaced("- id: h1\n", "- id: h1\n   deeper: 1\n"),
+    _replaced("- id: h1\n", "- id: h1\n  - 1.5\n"),
+    _replaced("  gamma_2: 1.0\n- id: h2", "  gamma_2:\n- id: h2"),
+    _replaced("  p0: 0.01\n", "  p0:\n"),
+    lambda text: text + "T: 5\ntariff: 3\neta_inv:\n- 1.0\n",
+    _replaced("  generation:\n", "  generation:\n  - 1\n  - -0\n  - -0.0\n"),
+]
+SYNTH_VARIANT_IDS = [
+    "crlf", "tab-indent", "tab-value", "trailing-space", "trailing-space-key",
+    "inline-comment", "indented-comment", "non-ascii-comment",
+    "non-printable-comment", "line-break-in-comment", "blank-lines",
+    "no-final-newline", "markers", "bom", "bool-key", "int-key", "null-key",
+    "valueless-key-at-end", "single-quoted-id", "double-quoted-id", "bool-id",
+    "hex-id", "spaced-id", "continuation", "indented-sequences", "indented-root",
+    "dash-key-with-deeper-keys", "deeper-key-under-dash", "dash-under-scalar-key",
+    "valueless-key-before-dedent", "valueless-key-before-key", "duplicate-keys",
+    "ints-and-signed-zeros",
+]
+# whole lines and line fragments around the grammar's edges
+LINE_FRAGMENTS = [
+    "", " ", "#", "# c", "-", "- ", "- 1.5", "  - 1.5", "- -1.5e-07", "- 1", "a:",
+    "a: 1", "  a: 1", "- a: 1", "- a:", "true: 1", "1: a", "~: a", "a: ~", "- yes",
+    "- h1-0a3f2c", "---", "...", "a: [1]", "a: {b: 1}", "&x", "*x", "!!str",
+    "- 2020-01-02", "- .inf", "- 1_000", "- 1.5E+3", "\t", "\r", " # c",
+]
+
+
 @pytest.mark.parametrize("loader", LOADERS)
 class TestReadsLikeYamlLoad:
     @pytest.mark.parametrize("shape", [(4, 24), (256, 96)], ids=["4x24", "256x96"])
@@ -448,6 +523,44 @@ class TestReadsLikeYamlLoad:
         path.write_bytes(b"a: 1\nb: caf\xe9\n")
         assert_reads_like_yaml_load(loader, lambda: open(path, encoding="utf-8"))
 
+    def test_undecodable_byte_past_the_first_chunk(self, loader, tmp_path, synth_path):
+        # a text file decodes 8 KiB at a time, and the error names the
+        # position in its chunk
+        data = synth_path(8, 24).read_bytes()
+        assert len(data) > 8192
+        path = tmp_path / "late.yaml"
+        path.write_bytes(data + b"# caf\xe9\n")
+        assert_reads_like_yaml_load(loader, lambda: open(path, encoding="utf-8"))
+
+    @pytest.mark.parametrize("variant", SYNTH_VARIANTS, ids=SYNTH_VARIANT_IDS)
+    def test_synth_file_variants(self, loader, variant, synth_path, tmp_path):
+        text = variant(synth_path(2, 4).read_text())
+        path = tmp_path / "variant.yaml"
+        path.write_bytes(text.encode())  # read back with universal newlines
+        assert_reads_like_yaml_load(loader, lambda: open(path, encoding="utf-8"))
+        assert_reads_like_yaml_load(loader, _text(text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        index=st.integers(0, 60),
+        edit=st.sampled_from(["replace", "insert", "prefix", "suffix"]),
+        fragment=st.sampled_from(LINE_FRAGMENTS)
+        | st.text(" -:#\t\r'\"[]{}&*!|>%,?.0123456789eE+_ahnoTy~\x85", max_size=8),
+    )
+    def test_synth_file_with_one_line_changed(
+        self, loader, synth_path, index, edit, fragment
+    ):
+        lines = synth_path(2, 4).read_text().splitlines(keepends=True)
+        index %= len(lines)
+        line = lines[index]
+        lines[index] = {
+            "replace": fragment + "\n",
+            "insert": fragment + "\n" + line,
+            "prefix": fragment + line,
+            "suffix": line[:-1] + fragment + "\n",
+        }[edit]
+        assert_reads_like_yaml_load(loader, _text("".join(lines)))
+
     @settings(max_examples=150, deadline=None)
     @given(
         text=st.recursive(
@@ -499,11 +612,46 @@ def test_a_document_for_yaml_load_is_walked_once(loader, text):
 
 
 def test_plain_scenario_is_built_without_yaml_load(tmp_path, monkeypatch):
-    path = tmp_path / "day.yaml"
-    scenario = synth_scenario(3, 6, seed=2)
-    save_scenario(scenario, path)
+    events = []
+
+    class Counting(scenario_mod._LOADER):
+        def get_event(self):
+            events.append(1)
+            return super().get_event()
+
+    monkeypatch.setattr(scenario_mod, "_LOADER", Counting)
     monkeypatch.setattr(yaml, "load", None)  # any call fails
-    assert load_scenario(path).digest() == scenario.digest()
+    # the benchmark's ingest size, with ids in its relabelled form
+    rng = random.Random(1)
+    for shape in [(3, 6), (256, 96)]:
+        scenario = synth_scenario(*shape, seed=2)
+        scenario.households = [
+            dataclasses.replace(h, id="h%d-%06x" % (m + 1, rng.getrandbits(24)))
+            for m, h in enumerate(scenario.households)
+        ]
+        path = tmp_path / "day.yaml"
+        save_scenario(scenario, path)
+        assert load_scenario(path).digest() == scenario.digest()
+    assert events == []
+
+
+def test_undecodable_pipe_is_one_parse_error(tmp_path):
+    # a pipe cannot be read again, so the error names the position in the text
+    fifo = tmp_path / "latin1.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_bytes, args=(b"a: 1\nb: caf\xe9\n",), daemon=True
+    )
+    writer.start()
+    try:
+        with pytest.raises(ScenarioValidationError) as caught:
+            load_scenario(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert caught.value.problems == [
+        "parse error: 'utf-8' codec can't decode byte 0xe9 in position 11: "
+        "invalid continuation byte"
+    ]
 
 
 def _shared_battery_files(tmp_path):
@@ -631,11 +779,13 @@ DEEPER = [
     "a: !!str 5\nb: " + _deep_list(25_000),
     "? [1]\n: 2\nb: " + _deep_list(25_000),
     "<<: {}\nb: " + _deep_list(25_000),
+    # block mappings, one key a line, each a column deeper than the last
+    "\n".join(" " * i + "k:" for i in range(scenario_mod._MAX_DEPTH + 1)),
 ]
 DEEPER_IDS = [
     "one-past", "anchored", "unclosed", "deep-T", "bad-date-then-deep", "alias-then-deep",
     "long-int-then-deep", "deep-second-document", "tag-then-deep",
-    "collection-key-then-deep", "merge-then-deep",
+    "collection-key-then-deep", "merge-then-deep", "block-one-past",
 ]
 TOO_DEEP = "parse error: collections nest deeper than %d levels" % scenario_mod._MAX_DEPTH
 
@@ -645,6 +795,11 @@ class TestNestingBound:
     def test_the_bound_reads_like_yaml_load(self, loader):
         text = _deep_list(scenario_mod._MAX_DEPTH) + "\n"
         assert_reads_like_yaml_load(loader, _text(text))
+        # mappings nest too deep for _same; their == holds no floats to tell apart
+        block = "".join(" " * i + "k:\n" for i in range(scenario_mod._MAX_DEPTH))
+        with mock.patch.object(scenario_mod, "_LOADER", loader):
+            ours = scenario_mod._read_yaml(io.StringIO(block))
+        assert ours == yaml.load(block, Loader=loader)
 
     @pytest.mark.parametrize("text", DEEPER, ids=DEEPER_IDS)
     def test_deeper_is_one_parse_error(self, tmp_path, text):
