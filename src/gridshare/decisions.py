@@ -255,7 +255,7 @@ def replay_household(
         if taker[t]:
             s = soc_next_taker(s, a, bat, eta_inv, dt)
         else:
-            s = soc_next_giver(s, a, max(-d_t - e, 0.0), bat, eta_inv, dt)
+            s = soc_next_giver(s, a, region.local_charge(e), bat, eta_inv, dt)
         soc[t + 1] = s
     return HouseholdTrace(loads=loads, soc=soc, taker=taker)
 
@@ -290,28 +290,20 @@ def audit_community(
         raise LengthMismatchError(
             "schedule count %d differs from household count %d" % (len(schedules), n)
         )
-    horizon = len(schedules[0])
-    loads = np.zeros((n, horizon))
-    soc = np.zeros((n, horizon + 1))
-    traces = []
-    for i, (profile, schedule) in enumerate(zip(profiles, schedules)):
-        trace = replay_household(profile, schedule, eta_inv, dt)
-        traces.append(trace)
-        loads[i] = trace.loads
-        soc[i] = trace.soc
-    leftover = np.zeros(horizon)
-    for t in range(horizon):
-        offers = [
-            float(schedules[i].e[t]) for i in range(n) if not traces[i].taker[t]
-        ]
-        draws = [-float(schedules[i].e[t]) for i in range(n) if traces[i].taker[t]]
-        built = eta_bar * math.fsum(offers)
-        drawn = math.fsum(draws)
-        if drawn > built + FEAS_TOL:
-            raise InfeasibleDecisionError(
-                "pool overdrawn at t=%d: draws %g > %g available" % (t, drawn, built)
-            )
-        leftover[t] = max(0.0, built - drawn)
+    traces = [replay_household(p, s, eta_inv, dt) for p, s in zip(profiles, schedules)]
+    loads = np.array([trace.loads for trace in traces])
+    soc = np.array([trace.soc for trace in traces])
+    taker = np.array([trace.taker for trace in traces])
+    e = np.array([schedule.e for schedule in schedules])
+    built = eta_bar * aggregate(np.where(taker, 0.0, e))
+    drawn = aggregate(np.where(taker, -e, 0.0))
+    overdrawn = np.flatnonzero(drawn > built + FEAS_TOL)
+    if overdrawn.size:
+        t = overdrawn[0]
+        raise InfeasibleDecisionError(
+            "pool overdrawn at t=%d: draws %g > %g available" % (t, drawn[t], built[t])
+        )
+    leftover = np.where(built > drawn, built - drawn, 0.0)  # never -0.0, as max(0.0, x)
     floor = -math.inf if terminal_min is None else terminal_min - FEAS_TOL
     short = [
         "%s ends at %.6g kWh" % (p.id, final)
@@ -322,6 +314,4 @@ def audit_community(
         raise InfeasibleDecisionError(
             "terminal_soc_min %g missed: %s" % (terminal_min, ", ".join(short))
         )
-    return CommunityTrace(
-        loads=loads, soc=soc, aggregated=aggregate(loads), pool_leftover=leftover
-    )
+    return CommunityTrace(loads, soc, aggregate(loads), leftover)

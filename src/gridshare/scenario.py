@@ -419,8 +419,8 @@ def _read_block(text):
 def _check_depth(stream):
     """Walk the stream's parser events; raise _TooDeep past ``_MAX_DEPTH``.
 
-    A parser error or text that does not decode ends the walk quietly:
-    ``yaml.load`` meets it too.
+    A parser error, or the ValueError of a directive's over-long number,
+    ends the walk quietly: ``yaml.load`` meets it too.
     """
     loader = _LOADER(stream)
     depth = 0
@@ -452,21 +452,15 @@ def _read_yaml(fh):
     line at a time (:func:`_read_block`).  Any other text is walked once
     to bound its nesting at ``_MAX_DEPTH`` (``yaml.load`` recurses once
     per level) and then read by ``yaml.load``, so its value or its
-    exception is that call's.
+    exception is that call's.  Text that does not decode raises the one
+    read's UnicodeDecodeError, which names the byte's offset in the file.
     """
+    text = fh.read()
     try:
-        text = fh.read()
-    except UnicodeDecodeError:
-        if not fh.seekable():  # a pipe cannot be read twice
-            raise
-        fh.seek(0)  # yaml.load decodes in chunks, so its error names another position
-        stream = fh
-    else:
-        try:
-            return _read_block(text)
-        except _Declined:
-            stream = io.StringIO(text)
-            stream.name = getattr(fh, "name", "<file>")  # parser errors name the file
+        return _read_block(text)
+    except _Declined:
+        stream = io.StringIO(text)
+        stream.name = getattr(fh, "name", "<file>")  # parser errors name the file
     _check_depth(stream)
     stream.seek(0)
     return yaml.load(stream, Loader=_LOADER)

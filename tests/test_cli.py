@@ -474,6 +474,22 @@ def _floor_day(runner, tmp_path):
     return scen, json.loads((out / "result.json").read_text()), tmp_path / "result.json"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 9: floor_path keeps one lowest SOC per interval, and "
+    "s_max = 13.5 leaks below the floor, so a reachable floor is called unreachable",
+)
+def test_flagship_floor_just_below_s_max_is_reachable(runner, tmp_path):
+    scen = synth_file(runner, tmp_path / "flagship.yaml", households=4, intervals=24, seed=7)
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["solve", "--scenario", str(scen), "--out", str(out), "--terminal-soc-min", "13.49"],
+    )
+    assert result.exit_code == 0, result.output
+
+
 @pytest.mark.parametrize("day, code", [("floor", 0), ("fail", 2)])
 def test_certify_output_does_not_depend_on_the_cpus(
     runner, tmp_path, monkeypatch, day, code
@@ -622,6 +638,12 @@ BAD = "error: invalid result document: "
             BAD + "giver decision outside its feasible region "
             "(t=0, a=-100, e=0, d=-1.26223, soc=7.15156)",
             id="infeasible-schedule",
+        ),
+        # h1 takes at t = 3, and no one offers on the zero-decision day
+        pytest.param(
+            _set_h1(e=[0.0] * 3 + [-0.5] + [0.0] * 8),
+            BAD + "pool overdrawn at t=3: draws 0.5 > 0 available",
+            id="overdrawn-pool",
         ),
         pytest.param(
             lambda doc: doc["config"].update(terminal_soc_min=13.0),

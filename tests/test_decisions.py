@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,18 @@ from conftest import make_scenario, random_scenario, sample_schedules, simple_ba
 
 def _audit(scenario, schedules):
     return audit_community(scenario.households, schedules, 0.95, 0.9, scenario.dt)
+
+
+def _leftover_by_interval(scenario, schedules):
+    """The pool left per interval: offers and draws summed an interval at a time."""
+    takes = scenario.net_demands() > 0.0
+    leftover = []
+    for t in range(scenario.horizon):
+        offers = [float(s.e[t]) for m, s in enumerate(schedules) if not takes[m, t]]
+        draws = [-float(s.e[t]) for m, s in enumerate(schedules) if takes[m, t]]
+        built = scenario.eta_bar * math.fsum(offers)
+        leftover.append(max(0.0, built - math.fsum(draws)))
+    return np.array(leftover)
 
 
 class TestNetDemandAndRoles:
@@ -289,23 +303,45 @@ class TestCommunityReplay:
             )
             assert np.all(trace.loads >= 0.0)
             assert np.all(trace.pool_leftover >= 0.0)
+            reference = _leftover_by_interval(scenario, schedules)
+            assert trace.pool_leftover.tobytes() == reference.tobytes()
             for i, h in enumerate(scenario.households):
                 assert np.all(trace.soc[i] >= h.battery.s_min - 1e-9)
                 assert np.all(trace.soc[i] <= h.battery.s_max + 1e-9)
 
     def test_overdrawn_pool_detected(self):
         scenario = make_scenario(
+            demands=[[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+            re_outputs=[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+            generation=[1.0, 1.0, 1.0],
+        )
+        # the taker draws 0.95 at t = 1 and t = 2, but each pool only holds
+        # 0.9 * 0.95; the first overdrawn interval is named
+        schedules = [
+            Schedule([0.0, 0.0, 0.0], [0.0, -0.95, -0.95]),
+            Schedule([0.0, 0.0, 0.0], [0.95, 0.95, 0.95]),
+        ]
+        with pytest.raises(
+            InfeasibleDecisionError,
+            match=r"^pool overdrawn at t=1: draws 0\.95 > 0\.855 available$",
+        ):
+            audit_community(scenario.households, schedules, 0.95, 0.9, 12.0)
+
+    def test_pool_leftover_is_never_negative_zero(self):
+        # a giver may offer a hair below zero, and 0.25 times the smallest
+        # subnormal rounds to -0.0; the pool left is +0.0, as max(0.0, x) gives
+        scenario = make_scenario(
             demands=[[1.0, 1.0], [0.0, 0.0]],
             re_outputs=[[0.0, 0.0], [1.0, 1.0]],
             generation=[1.0, 1.0],
         )
-        # taker draws 0.95 but the pool only holds 0.9 * 0.95
         schedules = [
-            Schedule([0.0, 0.0], [-0.95, 0.0]),
-            Schedule([0.0, 0.0], [0.95, 0.95]),
+            Schedule([0.0, 0.0], [0.0, 0.0]),
+            Schedule([0.0, 0.0], [-5e-324, 0.95]),
         ]
-        with pytest.raises(InfeasibleDecisionError):
-            audit_community(scenario.households, schedules, 0.95, 0.9, 12.0)
+        trace = audit_community(scenario.households, schedules, 0.95, 0.25, 12.0)
+        assert str(0.25 * -5e-324) == "-0.0"
+        assert trace.pool_leftover.tobytes() == np.array([0.0, 0.25 * 0.95]).tobytes()
 
     @pytest.mark.parametrize(
         "demand, re_output, a, e",

@@ -48,6 +48,7 @@ from gridshare.engine import (
 )
 from gridshare.errors import (
     GridShareError,
+    InfeasibleActionError,
     InfeasibleConfigError,
     InvalidBatteryParamsError,
 )
@@ -1422,6 +1423,23 @@ def day_at_the_limits(draw):
         batteries=[bat for bat, _ in batteries],
         initial_socs=[min(soc, bat.s_max) for bat, soc in batteries],
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InfeasibleActionError,
+    reason="ROADMAP item 7: the replay checks feasibility to an absolute 1e-9 kWh, "
+    "and a giver's local charge -d - e cancels at 1e17 kWh",
+)
+@pytest.mark.parametrize("seed", [1, 3])
+def test_valid_day_at_1e17_kwh_solves(seed):
+    day = synth_scenario(2, 4, seed)
+    h1 = day.households[0]
+    h1.battery = dataclasses.replace(h1.battery, s_max=17.0)
+    h1.initial_soc = min(h1.initial_soc, 17.0)
+    h1.re_output[-1] = 2.6e17
+    day.check()
+    solve(day, GameConfig(soc_grid=8, action_grid=3))
 
 
 @settings(max_examples=30, deadline=None)

@@ -524,13 +524,22 @@ class TestReadsLikeYamlLoad:
         assert_reads_like_yaml_load(loader, lambda: open(path, encoding="utf-8"))
 
     def test_undecodable_byte_past_the_first_chunk(self, loader, tmp_path, synth_path):
-        # a text file decodes 8 KiB at a time, and the error names the
-        # position in its chunk
-        data = synth_path(8, 24).read_bytes()
-        assert len(data) > 8192
+        # yaml.load decodes a file a chunk at a time and names the position
+        # in its chunk; the reader decodes the text in one read, so a file
+        # and a pipe of the same bytes both name the offset in the file
+        at = 70000  # past 64 KiB
+        data = synth_path(256, 96).read_bytes()
+        assert len(data) > at
+        data = data[:at] + b"\xff" + data[at:]
         path = tmp_path / "late.yaml"
-        path.write_bytes(data + b"# caf\xe9\n")
-        assert_reads_like_yaml_load(loader, lambda: open(path, encoding="utf-8"))
+        path.write_bytes(data)
+        with mock.patch.object(scenario_mod, "_LOADER", loader):
+            problems = [_parse_problems(path), _piped_problems(tmp_path, data)]
+        line = (
+            "parse error: 'utf-8' codec can't decode byte 0xff in position %d: "
+            "invalid start byte" % at
+        )
+        assert problems == [[line], [line]]
 
     @pytest.mark.parametrize("variant", SYNTH_VARIANTS, ids=SYNTH_VARIANT_IDS)
     def test_synth_file_variants(self, loader, variant, synth_path, tmp_path):
@@ -635,20 +644,28 @@ def test_plain_scenario_is_built_without_yaml_load(tmp_path, monkeypatch):
     assert events == []
 
 
-def test_undecodable_pipe_is_one_parse_error(tmp_path):
-    # a pipe cannot be read again, so the error names the position in the text
-    fifo = tmp_path / "latin1.fifo"
+def _parse_problems(path):
+    """The problems load_scenario lists for a file it cannot parse."""
+    with pytest.raises(ScenarioValidationError) as caught:
+        load_scenario(path)
+    return caught.value.problems
+
+
+def _piped_problems(tmp_path, data):
+    """_parse_problems of a fifo that another thread writes ``data`` into."""
+    fifo = tmp_path / "piped.fifo"
     os.mkfifo(fifo)
-    writer = threading.Thread(
-        target=fifo.write_bytes, args=(b"a: 1\nb: caf\xe9\n",), daemon=True
-    )
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
     writer.start()
     try:
-        with pytest.raises(ScenarioValidationError) as caught:
-            load_scenario(fifo)
+        return _parse_problems(fifo)
     finally:
         writer.join(timeout=10)
-    assert caught.value.problems == [
+
+
+def test_undecodable_pipe_is_one_parse_error(tmp_path):
+    # the error names the byte's position in the text
+    assert _piped_problems(tmp_path, b"a: 1\nb: caf\xe9\n") == [
         "parse error: 'utf-8' codec can't decode byte 0xe9 in position 11: "
         "invalid continuation byte"
     ]
