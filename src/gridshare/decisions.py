@@ -194,24 +194,17 @@ def giver_bounds(
 # independent replay / re-checking
 
 
-@dataclass
-class HouseholdTrace:
-    """Replay of one household's schedule: loads, SOC path, taker intervals."""
-
-    loads: np.ndarray       # (T,)
-    soc: np.ndarray         # (T+1,) interval-boundary SOC
-    taker: np.ndarray       # (T,) bool: net demand > 0, else a giver
-
-
 def replay_household(
     profile: HouseholdProfile,
     schedule: Schedule,
     eta_inv: float,
     dt: float,
-) -> HouseholdTrace:
+):
     """Re-simulate one household's schedule from scratch.
 
-    Positive net demand makes a taker; zero or negative makes a giver.
+    Returns ``(loads, soc, taker)``: the (T,) loads, the (T+1,)
+    interval-boundary SOC path and the (T,) bool taker mask.  Positive net
+    demand makes a taker; zero or negative makes a giver.
     Raises InfeasibleActionError / InfeasibleDecisionError if the schedule
     violates SOC bounds or leaves its role's feasible region (rate limits,
     SOC headroom, load >= 0) at the replayed SOC.  The pool is unbounded
@@ -257,7 +250,7 @@ def replay_household(
         else:
             s = soc_next_giver(s, a, region.local_charge(e), bat, eta_inv, dt)
         soc[t + 1] = s
-    return HouseholdTrace(loads=loads, soc=soc, taker=taker)
+    return loads, soc, taker
 
 
 @dataclass
@@ -290,10 +283,8 @@ def audit_community(
         raise LengthMismatchError(
             "schedule count %d differs from household count %d" % (len(schedules), n)
         )
-    traces = [replay_household(p, s, eta_inv, dt) for p, s in zip(profiles, schedules)]
-    loads = np.array([trace.loads for trace in traces])
-    soc = np.array([trace.soc for trace in traces])
-    taker = np.array([trace.taker for trace in traces])
+    replays = [replay_household(p, s, eta_inv, dt) for p, s in zip(profiles, schedules)]
+    loads, soc, taker = (np.array(rows) for rows in zip(*replays))
     e = np.array([schedule.e for schedule in schedules])
     built = eta_bar * aggregate(np.where(taker, 0.0, e))
     drawn = aggregate(np.where(taker, -e, 0.0))

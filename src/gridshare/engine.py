@@ -640,7 +640,7 @@ def _respond(scenario, A, E, m, config):
         extras = best_a[:, None] + offsets, best_e[:, None] + offsets
         a, e, soc = _dp(env, grids, n_act, *extras, best_soc)
         new_bill = bill(a, e)
-        if new_bill < best_bill - 1e-15:
+        if new_bill < best_bill:
             gain = best_bill - new_bill
             best_a, best_e, best_soc, best_bill = a, e, soc, new_bill
             stale = 0 if gain > config.epsilon * 1e-3 else stale + 1
@@ -648,8 +648,8 @@ def _respond(scenario, A, E, m, config):
             stale += 1
         if k >= 6 and stale >= 3:
             break
-    assert best_bill <= old_bill + 1e-12, "best response worsened a bill"
-    return best_a, best_e, max(0.0, old_bill - best_bill)
+    assert best_bill <= old_bill, "best response worsened a bill"
+    return best_a, best_e, old_bill - best_bill
 
 
 def _pass(scenario, A, E, config):

@@ -422,11 +422,9 @@ def _check_depth(stream):
     A parser error, or the ValueError of a directive's over-long number,
     ends the walk quietly: ``yaml.load`` meets it too.
     """
-    loader = _LOADER(stream)
     depth = 0
     try:
-        event = loader.get_event()
-        while not isinstance(event, yaml.StreamEndEvent):
+        for event in yaml.parse(stream, Loader=_LOADER):
             kind = event.__class__
             if kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
                 depth += 1
@@ -438,11 +436,8 @@ def _check_depth(stream):
                     )
             elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
                 depth -= 1
-            event = loader.get_event()
     except (yaml.YAMLError, ValueError):
         pass
-    finally:
-        loader.dispose()
 
 
 def _read_yaml(fh):
