@@ -23,8 +23,8 @@ from .errors import InfeasibleActionError, InvalidBatteryParamsError
 MAX_MAGNITUDE = 1e30
 MIN_EFFICIENCY = 1e-6
 
-#: slack of every replay check and of the engine's floor pricing, so the
-#: two judge a final SOC alike
+#: slack of the replay's region, SOC and pool checks; ``terminal_soc_min`` is
+#: compared exactly, by the engine and the replay alike
 FEAS_TOL = 1e-9
 
 

@@ -273,6 +273,7 @@ def audit_community(
 ) -> CommunityTrace:
     """Replay every household, verify the aggregate pool balance, and list
     every household whose final SOC ends below ``terminal_min``, if given.
+    The floor is compared exactly, as the engine prices it, with no slack.
 
     This is ``solve``'s own audit and ``certify``'s reader, and it shares
     no state with the search.  Raises LengthMismatchError unless there is
@@ -295,7 +296,7 @@ def audit_community(
             "pool overdrawn at t=%d: draws %g > %g available" % (t, drawn[t], built[t])
         )
     leftover = np.where(built > drawn, built - drawn, 0.0)  # never -0.0, as max(0.0, x)
-    floor = -math.inf if terminal_min is None else terminal_min - FEAS_TOL
+    floor = -math.inf if terminal_min is None else terminal_min
     short = [
         "%s ends at %.6g kWh" % (p.id, final)
         for p, final in zip(profiles, soc[:, -1])

@@ -26,8 +26,9 @@ candidate tree reaches at each interval, so every lookup lands on a cell
 and the bill equals a brute-force oracle's exactly.  Equal bills are split
 by the rollout's rule (cost, then |a|, |e|, SOC), not by the oracle's
 enumeration order.  The floor's one enforcer is the response's inf price
-for an incumbent ending below ``terminal_soc_min``; it also repairs a start
-that misses the floor.
+for an incumbent ending below ``terminal_soc_min``, compared exactly with no
+slack, so a day with a floor solves alike in any units; it also repairs a
+start that misses the floor.
 
 The outer loop repeats one Gauss-Seidel pass: households respond in fixed
 id order, each seeing the freshest schedules of the others, and a response
@@ -55,7 +56,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import billing
-from .battery import FEAS_TOL
 from .decisions import Schedule, audit_community
 from .errors import GridShareError, InfeasibleConfigError
 from .scenario import Scenario, _brief, finite_number
@@ -428,7 +428,7 @@ def _soc_trajectory(env: _Env, a: np.ndarray, e: np.ndarray) -> np.ndarray:
 def _terminal_values(env: _Env, grid: np.ndarray) -> np.ndarray:
     v = np.zeros(len(grid))
     if env.terminal_min is not None:
-        v[grid < env.terminal_min - FEAS_TOL] = np.inf
+        v[grid < env.terminal_min] = np.inf
     return v
 
 
@@ -810,10 +810,7 @@ def initial_state(scenario: Scenario, config: GameConfig):
 
 
 def _state_hash(A, E) -> str:
-    h = hashlib.sha256()
-    h.update(np.round(A, 12).tobytes())
-    h.update(np.round(E, 12).tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(A.tobytes() + E.tobytes()).hexdigest()
 
 
 def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:

@@ -275,14 +275,20 @@ class TestCommunityReplay:
             audit_community(profiles, schedules, 0.95, 0.9, scenario.dt)
 
     @pytest.mark.parametrize(
-        "above, missed", [(0.0, False), (0.5 * FEAS_TOL, False), (2 * FEAS_TOL, True)]
+        "floor_of, missed",
+        [
+            (lambda final: final, False),
+            (lambda final: np.nextafter(final, np.inf), True),
+            (lambda final: final + 2 * FEAS_TOL, True),
+        ],
+        ids=["at-the-floor", "one-ulp-below", "two-slacks-below"],
     )
-    def test_terminal_floor_judged_with_the_slack(self, above, missed):
+    def test_terminal_floor_judged_exactly(self, floor_of, missed):
         scenario = make_scenario(
             demands=[[1.0, 1.0]], re_outputs=[[0.0, 0.0]], generation=[1.0, 1.0]
         )
         schedules = [Schedule([0.0, 0.0], [0.0, 0.0])]
-        floor = _audit(scenario, schedules).soc[0, -1] + above
+        floor = floor_of(_audit(scenario, schedules).soc[0, -1])
         args = (scenario.households, schedules, 0.95, 0.9, scenario.dt, floor)
         if missed:
             with pytest.raises(InfeasibleDecisionError, match="missed: h1 ends at"):
