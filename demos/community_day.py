@@ -36,7 +36,7 @@ for t in range(scenario.horizon):
         t,
         bar(g[t], "#"),
         bar(report.baseline.aggregated[t], "b"),
-        bar(eq.aggregated[t], "e"),
+        bar(eq.trace.aggregated[t], "e"),
     ))
 
 print()

@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import billing
-from .decisions import Schedule, audit_community
+from .decisions import CommunityTrace, Schedule, audit_community
 from .errors import GridShareError, InfeasibleConfigError
 from .scenario import Scenario, _brief, finite_number
 
@@ -95,17 +95,14 @@ class GameConfig:
             if value < low:
                 raise GridShareError("%s must be >= %d" % (name, low))
             object.__setattr__(self, name, int(value))
-        # the largest block a grid-mode _respond builds is a taker's, (states,
-        # n_act + 1 + extras, n_act + extras): round 0 has soc_grid states and
-        # 1 extra, a later round at most min(soc_grid, _LOCAL_POINTS) +
-        # _ANCHORS + 1 (the center) states and _OFFSETS extras, and a floor
-        # adds a state; exhaustive blocks stay under _EXACT_CAP
+        # the largest block a grid-mode _respond builds, of (states, extras) per
+        # round: round 0 has soc_grid states and 1 extra, a later round at most
+        # min(soc_grid, _LOCAL_POINTS) + _ANCHORS + 1 (the center) states and
+        # _OFFSETS extras, and a floor adds a state; exhaustive blocks stay
+        # under _EXACT_CAP
         n, k = self.soc_grid, self.action_grid
-        local_states = min(n, _LOCAL_POINTS) + _ANCHORS + 2
-        cells = max(
-            (n + 1) * (k + 2) * (k + 1),
-            local_states * (k + 1 + _OFFSETS) * (k + _OFFSETS),
-        )
+        rounds = ((n + 1, 1), (min(n, _LOCAL_POINTS) + _ANCHORS + 2, _OFFSETS))
+        cells = max(s * p * q for s, x in rounds for p, q in _block_axes(k, x, x))
         if cells > _MAX_BLOCK:
             raise GridShareError(
                 "soc_grid %s with action_grid %s needs stage blocks of more than "
@@ -121,17 +118,15 @@ class GameConfig:
 class EquilibriumResult:
     """Outcome of :func:`solve`, fully re-derivable from the schedules.
 
-    ``deviation_gains`` are the last pass's gains, measured on the grids
-    :func:`deviation_gain` uses.  ``sweeps_used`` counts the passes on the
-    game's own grids; ``max_sweeps`` bounds those and the check passes.
+    ``bills`` price ``trace``, the replay of ``schedules``.  ``deviation_gains``
+    are the last pass's gains, on the grids :func:`deviation_gain` uses.
+    ``sweeps_used`` counts the passes on the game's own grids; ``max_sweeps``
+    bounds those and the check passes.
     """
 
     schedules: list
     bills: list
-    loads: np.ndarray           # (M, T)
-    aggregated: np.ndarray      # (T,)
-    pool: np.ndarray            # (T,) leftover shared energy per interval
-    soc: np.ndarray             # (M, T+1)
+    trace: CommunityTrace
     converged: bool
     sweeps_used: int
     max_deviation_gain: float
@@ -406,6 +401,15 @@ def _stage(env, t, s, n_act, extra_a, extra_e):
     return a, e, cost, _transition(env, t, s, a, e)
 
 
+def _block_axes(n_act, k_a, k_e):
+    """Per-state (P, Q) of a taker's, then a giver's :func:`_stage` block.
+
+    With ``k_a`` and ``k_e`` extras, all laid out, and a taker's draw axis,
+    one column where its pool is empty.  Plain ints, exact on any grid.
+    """
+    return (n_act + 1 + k_a, n_act + k_e), (n_act + k_e, n_act + k_a)
+
+
 def _loads(taker, d, a, e):
     """Grid loads under decisions (a, e): d + a + e for a taker, a for a giver."""
     return np.where(taker, d + a + e, a)
@@ -444,12 +448,8 @@ def _runs(env, grids, n_act, k_a, k_e):
     each interval's extras.
     """
     one_col = env.taker & ~(env.pool_avail > 0.0)
-    # P * Q cells per state, as _stage lays out each interval's block
-    per_state = np.where(
-        env.taker,
-        (n_act + 1 + k_a) * np.where(one_col, 1, n_act + k_e),
-        (n_act + k_e) * (n_act + k_a),
-    )
+    (p, q), giver = _block_axes(n_act, k_a, k_e)
+    per_state = np.where(env.taker, p * np.where(one_col, 1, q), math.prod(giver))
     cells = [0] + [len(g) * int(c) for g, c in zip(grids[1:-1], per_state[1:])]
     cap = max(cells)
     runs = []
@@ -551,9 +551,10 @@ def _dp(env, grids, n_act, extras_a, extras_e, path=None):
     return a_out, e_out, soc_out
 
 
-def _exhaustive(taker: np.ndarray, n_act: int, cap: int) -> bool:
-    """Whether a household's exhaustive candidate tree has at most ``cap`` leaves."""
-    return math.prod((n_act + 1) * n_act if t else n_act * n_act for t in taker) <= cap
+def _exhaustive(taker: np.ndarray, n_act: int) -> bool:
+    """Whether the candidate tree, without extras, has at most ``_EXACT_CAP`` leaves."""
+    taker_pairs, giver_pairs = map(math.prod, _block_axes(n_act, 0, 0))
+    return math.prod(taker_pairs if t else giver_pairs for t in taker) <= _EXACT_CAP
 
 
 def _reachable_grids(env: _Env, n_act: int) -> list:
@@ -624,7 +625,7 @@ def _respond(scenario, A, E, m, config):
     best_soc = _soc_trajectory(env, best_a, best_e)
     floor_cost = _terminal_values(env, best_soc[-1:])[0]
     old_bill = best_bill = bill(best_a, best_e) + float(floor_cost)
-    exact = _exhaustive(env.taker, n_act, _EXACT_CAP)
+    exact = _exhaustive(env.taker, n_act)
     span = env.s_max - env.s_min
     stale = 0
     for k in range(1 if exact else _REFINE_ROUNDS + 1):
@@ -685,7 +686,7 @@ def _check_config(scenario: Scenario, config: GameConfig) -> GameConfig:
     """
     n_act = config.action_grid
     takers = scenario.net_demands() > 0.0
-    if all(_exhaustive(t, n_act, _EXACT_CAP) for t in takers):
+    if all(_exhaustive(t, n_act) for t in takers):
         return config
     try:
         return replace(config, soc_grid=config.soc_grid * 2, action_grid=n_act * 2)
@@ -865,10 +866,7 @@ def solve(scenario: Scenario, config: GameConfig) -> EquilibriumResult:
     return EquilibriumResult(
         schedules=schedules,
         bills=billing.community_bills(trace.loads, trace.aggregated, scenario.tariff),
-        loads=trace.loads,
-        aggregated=trace.aggregated,
-        pool=trace.pool_leftover,
-        soc=trace.soc,
+        trace=trace,
         converged=certified,
         sweeps_used=sweeps_used,
         max_deviation_gain=max(gains),

@@ -84,7 +84,7 @@ class RunReport:
     def game_tracking_error(self) -> float | None:
         """The equilibrium's tracking error, computed once; None without a game."""
         eq, generation = self.equilibrium, self.scenario.tariff.generation
-        return None if eq is None else tracking_error(eq.aggregated, generation)
+        return None if eq is None else tracking_error(eq.trace.aggregated, generation)
 
     @property
     def reduction_pct(self) -> float | None:
@@ -136,15 +136,15 @@ def result_document(report: RunReport) -> dict:
             "deviation_gains": dict(zip(ids, eq.deviation_gains)),
             "bills": dict(zip(ids, eq.bills)),
             "tracking_error": report.game_tracking_error,
-            "aggregated_load": eq.aggregated.tolist(),
-            "pool": eq.pool.tolist(),
+            "aggregated_load": eq.trace.aggregated.tolist(),
+            "pool": eq.trace.pool_leftover.tolist(),
             "convergence_log": eq.convergence_log,
             "households": {
                 ids[m]: {
                     "a": eq.schedules[m].a.tolist(),
                     "e": eq.schedules[m].e.tolist(),
-                    "load": eq.loads[m].tolist(),
-                    "soc": eq.soc[m].tolist(),
+                    "load": eq.trace.loads[m].tolist(),
+                    "soc": eq.trace.soc[m].tolist(),
                     "net_demand": d[m].tolist(),
                 }
                 for m in range(len(ids))
@@ -239,8 +239,9 @@ def traces_table(report: RunReport) -> str:
         ("baseline_load", report.baseline.aggregated),
     ]
     if eq is not None:
-        columns += [("equilibrium_load", eq.aggregated), ("pool", eq.pool)]
-    loads = report.baseline.loads if eq is None else eq.loads
+        columns.append(("equilibrium_load", eq.trace.aggregated))
+        columns.append(("pool", eq.trace.pool_leftover))
+    loads = report.baseline.loads if eq is None else eq.trace.loads
     d = scenario.net_demands()
     for m, h in enumerate(scenario.households):
         columns += [("%s_d" % h.id, d[m]), ("%s_load" % h.id, loads[m])]
@@ -248,7 +249,7 @@ def traces_table(report: RunReport) -> str:
             columns += [
                 ("%s_a" % h.id, eq.schedules[m].a),
                 ("%s_e" % h.id, eq.schedules[m].e),
-                ("%s_soc" % h.id, eq.soc[m]),  # T + 1 entries; zip stops at T
+                ("%s_soc" % h.id, eq.trace.soc[m]),  # T + 1 entries; zip stops at T
             ]
     text = [map(repr, series.tolist()) for _, series in columns]
     buf = io.StringIO()

@@ -107,7 +107,7 @@ def test_criterion_2_tracking_error_reduction(flagship, capsys):
     g = scenario.tariff.generation
     baseline_agg = np.sum(np.maximum(scenario.net_demands(), 0.0), axis=0)
     base_err = float(np.sum((baseline_agg - g) ** 2))
-    eq_err = float(np.sum((result.aggregated - g) ** 2))
+    eq_err = float(np.sum((result.trace.aggregated - g) ** 2))
     reduction = 100.0 * (base_err - eq_err) / base_err
     ok = reduction >= 30.0
     announce(

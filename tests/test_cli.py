@@ -845,6 +845,54 @@ def test_deep_scenario_value_is_one_listed_violation(runner, tmp_path):
     assert lines[1].startswith("  - parse error: collections nest deeper than")
 
 
+def _no_households(doc):
+    doc["households"] = []
+    return ["households: at least one household is required"]
+
+
+def _batteries_without_gamma_2_and_s_min(doc):
+    for h in doc["households"]:
+        del h["battery"]["gamma_2"], h["battery"]["s_min"]
+    return [
+        "households[%s].battery: missing fields s_min, gamma_2" % h["id"]
+        for h in doc["households"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "edit", [_no_households, _batteries_without_gamma_2_and_s_min], ids=["none", "battery"]
+)
+def test_missing_part_is_one_listed_violation(runner, tmp_path, edit):
+    # each problem is one listed line, from the reader and from check alike
+    path = synth_file(runner, tmp_path / "scen.yaml")
+    doc = yaml.safe_load(path.read_text())
+    problems = edit(doc)
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(errors.ScenarioValidationError) as exc:
+        load_scenario(path)
+    assert exc.value.problems == problems
+    result = runner.invoke(main, ["check", "--scenario", str(path)])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    listed = ["  - " + problem for problem in problems]
+    assert result.output.splitlines() == ["scenario invalid:"] + listed
+
+
+def test_keys_outside_the_schema_are_ignored(runner, tmp_path):
+    # not listed, and no part of the digest
+    path = synth_file(runner, tmp_path / "scen.yaml")
+    doc = yaml.safe_load(path.read_text())
+    doc["comment"] = "top level"
+    doc["households"][0]["note"] = [1, 2]
+    doc["households"][1]["battery"]["model"] = {"make": "x"}
+    extra = tmp_path / "extra.yaml"
+    extra.write_text(yaml.safe_dump(doc))
+    assert load_scenario(extra).digest() == load_scenario(path).digest()
+    checks = [runner.invoke(main, ["check", "--scenario", str(p)]) for p in (path, extra)]
+    assert [r.exit_code for r in checks] == [0, 0]
+    assert checks[0].output == checks[1].output
+
+
 @pytest.mark.parametrize(
     "args",
     [

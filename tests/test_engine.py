@@ -27,6 +27,7 @@ from gridshare.battery import MAX_MAGNITUDE, MIN_EFFICIENCY
 from gridshare.billing import aggregate, community_bills, daily_bill
 from gridshare.engine import (
     _Env,
+    _block_axes,
     _dp,
     _exhaustive,
     _fractions,
@@ -140,14 +141,84 @@ class TestGameConfig:
         with pytest.raises(GridShareError, match="check grids: soc_grid 800000"):
             engine._check_config(synth_scenario(2, 24, seed=7), config)
 
+    @pytest.mark.parametrize(
+        "M, T, seed, config",
+        [
+            (4, 24, 7, GameConfig()),
+            (2, 6, 5, GameConfig(soc_grid=24, action_grid=5, terminal_soc_min=6.0)),
+        ],
+        ids=["flagship-start-0", "2x6-seed5-floor"],
+    )
+    def test_no_block_outgrows_the_bound(self, monkeypatch, M, T, seed, config):
+        # every block of every response on the game's rung and on the check
+        # rung holds at most the cells of the smallest _MAX_BLOCK that still
+        # accepts that rung's grids: the worst case GameConfig admits
+        scenario = synth_scenario(M, T, seed=seed)
+        check = engine._check_config(scenario, config)
+        assert check is not config  # grid mode
+        blocks = _blocks_per_rung(monkeypatch, scenario, config)
+        assert set(blocks) == {config, check}
+        for rung, sizes in blocks.items():
+            assert max(sizes) <= _smallest_max_block(monkeypatch, rung), rung
+
+    def test_exact_blocks_stay_within_the_exact_cap(self, monkeypatch):
+        # the 2x2 seed 1 day on (5, 5) is exhaustive: it checks on its own grids
+        scenario = synth_scenario(2, 2, seed=1)
+        config = GameConfig(soc_grid=5, action_grid=5, seed=1)
+        assert engine._check_config(scenario, config) is config
+        blocks = _blocks_per_rung(monkeypatch, scenario, config)
+        assert list(blocks) == [config]
+        assert max(blocks[config]) <= engine._EXACT_CAP
+
+
+def _blocks_per_rung(monkeypatch, scenario, config):
+    """The cells of each _stage block ``solve`` builds, per config it responds on."""
+    blocks = {}
+    rung = [None]
+    respond, stage = engine._respond, engine._stage
+
+    def respond_spy(scenario, A, E, m, config):
+        rung[0] = config
+        return respond(scenario, A, E, m, config)
+
+    def stage_spy(*args):
+        out = stage(*args)
+        if rung[0] is not None:
+            blocks.setdefault(rung[0], []).append(out[2].size)
+        return out
+
+    monkeypatch.setattr(engine, "_respond", respond_spy)
+    monkeypatch.setattr(engine, "_stage", stage_spy)
+    result = solve(scenario, config)
+    assert result.converged  # no measure on forked workers, out of the spies' sight
+    return blocks
+
+
+def _smallest_max_block(monkeypatch, config):
+    """The least ``_MAX_BLOCK`` under which ``config``'s grids are accepted."""
+    limit = engine._MAX_BLOCK
+    rejected, accepted = 0, limit
+    while accepted - rejected > 1:
+        mid = (rejected + accepted) // 2
+        monkeypatch.setattr(engine, "_MAX_BLOCK", mid)
+        try:
+            dataclasses.replace(config)
+            accepted = mid
+        except GridShareError:
+            rejected = mid
+    monkeypatch.setattr(engine, "_MAX_BLOCK", limit)
+    return accepted
+
 
 class TestBestResponse:
-    def test_exhaustive_gate_counts_leaves_exactly(self):
+    def test_exhaustive_gate_counts_leaves_exactly(self, monkeypatch):
         # a giver then a taker interval at 9 actions: 81 * 90 = 7290 leaves,
         # counted exactly, so a cap of 7290 admits the tree and 7289 does not
         taker = np.array([False, True])
-        assert _exhaustive(taker, 9, 7290)
-        assert not _exhaustive(taker, 9, 7289)
+        monkeypatch.setattr(engine, "_EXACT_CAP", 7290)
+        assert _exhaustive(taker, 9)
+        monkeypatch.setattr(engine, "_EXACT_CAP", 7289)
+        assert not _exhaustive(taker, 9)
 
     def test_pinched_battery_leaves_load_at_net_demand(self, tiny_config):
         # near-singleton battery: reserve floor almost at capacity, so the
@@ -438,10 +509,10 @@ class TestSolve:
             scenario.eta_bar,
             scenario.dt,
         )
-        assert np.allclose(trace.loads, result.loads, atol=1e-12)
-        assert np.allclose(trace.aggregated, result.aggregated, atol=1e-12)
-        assert np.allclose(trace.soc, result.soc, atol=1e-12)
-        assert np.allclose(trace.pool_leftover, result.pool, atol=1e-12)
+        assert np.allclose(trace.loads, result.trace.loads, atol=1e-12)
+        assert np.allclose(trace.aggregated, result.trace.aggregated, atol=1e-12)
+        assert np.allclose(trace.soc, result.trace.soc, atol=1e-12)
+        assert np.allclose(trace.pool_leftover, result.trace.pool_leftover, atol=1e-12)
         for m in range(scenario.n_households):
             assert result.bills[m] == pytest.approx(
                 community_bill(scenario, trace.loads, m), abs=1e-12
@@ -457,8 +528,8 @@ class TestSolve:
         r1 = solve(scenario, config)
         r2 = solve(scenario, config)
         assert r1.bills == r2.bills
-        assert np.array_equal(r1.loads, r2.loads)
-        assert np.array_equal(r1.soc, r2.soc)
+        assert np.array_equal(r1.trace.loads, r2.trace.loads)
+        assert np.array_equal(r1.trace.soc, r2.trace.soc)
         assert r1.converged == r2.converged
         assert r1.sweeps_used == r2.sweeps_used
 
@@ -476,7 +547,7 @@ class TestSolve:
         assert last["max_bill_drop"] == result.max_deviation_gain
         # the report is still complete and internally consistent
         assert len(result.bills) == 3
-        assert result.loads.shape == (3, 8)
+        assert result.trace.loads.shape == (3, 8)
 
     def test_uncertified_measure_does_not_depend_on_the_cpus(self, monkeypatch):
         # the remeasure runs on forked workers when there are two CPUs
@@ -546,7 +617,7 @@ class TestSolve:
             soc_grid=24, action_grid=5, seed=2, terminal_soc_min=floor
         )
         result = solve(scenario, config)
-        assert result.soc[0, -1] >= floor - 1e-6
+        assert result.trace.soc[0, -1] >= floor - 1e-6
 
     def test_floor_met_only_between_two_cells(self):
         # the floor sits 0.01 below the highest terminal SOC the candidates
@@ -563,7 +634,7 @@ class TestSolve:
         assert not np.any((grid >= floor) & (grid <= top))
         config = GameConfig(soc_grid=24, action_grid=5, terminal_soc_min=floor)
         result = solve(scenario, config)
-        assert floor <= result.soc[0, -1] <= top
+        assert floor <= result.trace.soc[0, -1] <= top
 
     def test_leak_band_start_meets_the_floor(self):
         # a 13.49 kWh floor just below s_max, where a full battery leaks
@@ -1001,12 +1072,12 @@ class TestStageRuns:
             run = isinstance(t, np.ndarray)
             cells = out[2].size
             if not run:
-                k_a, k_e = len(extra_a), len(extra_e)
-                if env.taker[t]:
-                    draws = n_act + k_e if env.pool_avail[t] > 0.0 else 1
-                    cells = len(s) * (n_act + 1 + k_a) * draws
-                else:
-                    cells = len(s) * (n_act + k_e) * (n_act + k_a)
+                (p, q), giver = _block_axes(n_act, len(extra_a), len(extra_e))
+                if not env.taker[t]:
+                    p, q = giver
+                elif not env.pool_avail[t] > 0.0:
+                    q = 1  # an empty pool's one draw column
+                cells = len(s) * p * q
                 assert out[2].size <= cells
             dps[-1].append((run, cells))
             return out
@@ -1277,7 +1348,6 @@ class TestExhaustiveSearch:
         # every successor SOC is a cell of the next reachable grid, so the DP
         # finds the DFS optimum exactly; only exact bill ties may differ
         rng = np.random.default_rng(7)
-        cap = engine._EXACT_CAP
         seen = {"taker": 0, "giver": 0, "floor": 0, "infeasible": 0}
         cases = ties = 0
         while cases < 200:
@@ -1291,7 +1361,7 @@ class TestExhaustiveSearch:
                 bat = scenario.households[m].battery
                 terminal = bat.s_min + rng.uniform(0.2, 1.1) * (bat.s_max - bat.s_min)
             env = _Env(scenario, A, E, m, terminal)
-            if not _exhaustive(env.taker, n_act, cap):
+            if not _exhaustive(env.taker, n_act):
                 continue
             cases += 1
             seen["taker"] += int(env.taker.sum())

@@ -37,8 +37,9 @@ def cell_by_cell_traces(report):
         ("baseline_load", report.baseline.aggregated),
     ]
     if eq is not None:
-        columns += [("equilibrium_load", eq.aggregated), ("pool", eq.pool)]
-    loads = report.baseline.loads if eq is None else eq.loads
+        columns += [("equilibrium_load", eq.trace.aggregated)]
+        columns += [("pool", eq.trace.pool_leftover)]
+    loads = report.baseline.loads if eq is None else eq.trace.loads
     d = scenario.net_demands()
     for m, h in enumerate(scenario.households):
         columns += [(h.id + "_d", d[m]), (h.id + "_load", loads[m])]
@@ -46,7 +47,7 @@ def cell_by_cell_traces(report):
             columns += [
                 (h.id + "_a", eq.schedules[m].a),
                 (h.id + "_e", eq.schedules[m].e),
-                (h.id + "_soc", eq.soc[m]),
+                (h.id + "_soc", eq.trace.soc[m]),
             ]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -203,7 +204,7 @@ class TestEmission:
         scenario = dataclasses.replace(scenario, households=households)
         report = run(scenario, CFG, baseline_only=not game)
         if game:
-            assert report.equilibrium.soc.shape == (3, scenario.horizon + 1)
+            assert report.equilibrium.trace.soc.shape == (3, scenario.horizon + 1)
         assert traces_table(report) == cell_by_cell_traces(report)
 
     def test_summary_mentions_convergence(self, small_report, tmp_path):
